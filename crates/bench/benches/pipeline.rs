@@ -143,6 +143,7 @@ fn bench_evaluators(b: &mut Bench) -> EvaluatorSummary {
     let bindings = random_bindings(&program, 7);
     let compiled = compile_program(&program);
     let plan = ExecPlan::from_compiled(&compiled);
+    let keeping = plan.clone().keeping_intermediates();
 
     let rt_1t = Runtime::with_options(RuntimeOptions {
         threads: Some(1),
@@ -180,22 +181,22 @@ fn bench_evaluators(b: &mut Bench) -> EvaluatorSummary {
         .mean_ns;
     let compiled_1t_mean_ns = b
         .run("compiled_1t", || {
-            rt_1t.eval_keeping_intermediates_with_plan(black_box(&compiled), &plan, &bindings)
+            rt_1t.eval_with_plan(black_box(&compiled), &keeping, &bindings)
         })
         .mean_ns;
     let compiled_1t_nokernels_mean_ns = b
         .run("compiled_1t_nokernels", || {
-            rt_1t_nok.eval_keeping_intermediates_with_plan(black_box(&compiled), &plan, &bindings)
+            rt_1t_nok.eval_with_plan(black_box(&compiled), &keeping, &bindings)
         })
         .mean_ns;
     let compiled_1t_fastmath_mean_ns = b
         .run("compiled_1t_fastmath", || {
-            rt_1t_fast.eval_keeping_intermediates_with_plan(black_box(&compiled), &plan, &bindings)
+            rt_1t_fast.eval_with_plan(black_box(&compiled), &keeping, &bindings)
         })
         .mean_ns;
     let compiled_mt_mean_ns = b
         .run("compiled_mt", || {
-            rt_mt.eval_keeping_intermediates_with_plan(black_box(&compiled), &plan, &bindings)
+            rt_mt.eval_with_plan(black_box(&compiled), &keeping, &bindings)
         })
         .mean_ns;
     let compiled_mt_arena_mean_ns = b
@@ -256,23 +257,19 @@ fn bench_model_evaluators(b: &mut Bench) -> Vec<ModelEval> {
         let program = tiny_program(model);
         let bindings = random_bindings(&program, 7);
         let compiled = compile_program(&program);
-        let plan = ExecPlan::from_compiled(&compiled);
+        let plan = ExecPlan::from_compiled(&compiled).keeping_intermediates();
         b.group(&format!("evaluator_{name}"));
         let naive_mean_ns = b
             .run("naive", || eval_program(black_box(&program), &bindings))
             .mean_ns;
         let compiled_1t_mean_ns = b
             .run("compiled_1t", || {
-                rt_1t.eval_keeping_intermediates_with_plan(black_box(&compiled), &plan, &bindings)
+                rt_1t.eval_with_plan(black_box(&compiled), &plan, &bindings)
             })
             .mean_ns;
         let compiled_1t_nokernels_mean_ns = b
             .run("compiled_1t_nokernels", || {
-                rt_1t_nok.eval_keeping_intermediates_with_plan(
-                    black_box(&compiled),
-                    &plan,
-                    &bindings,
-                )
+                rt_1t_nok.eval_with_plan(black_box(&compiled), &plan, &bindings)
             })
             .mean_ns;
         rows.push(ModelEval {

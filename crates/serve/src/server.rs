@@ -35,8 +35,9 @@
 //! `tests/dynamic_shape_differential.rs` enforce this).
 
 use crate::batcher::{bucket_for, Batch, BatchTrigger, BatcherCore};
-use souffle::{env_shape_cache, sched::program_signature, ShapeCache, ShapeClass};
+use souffle::{sched::program_signature, ShapeCache, ShapeClass, SHAPE_CACHE_ENV};
 use souffle::{Souffle, SouffleOptions};
+use souffle_te::env_switch;
 use souffle_te::sym::{bucket_boundaries, DynSpec};
 use souffle_te::{
     compile_program, CompiledProgram, ExecPlan, Runtime, TeProgram, TensorId, TensorKind,
@@ -588,7 +589,7 @@ impl ServerBuilder {
                 sig,
                 sym,
                 variants: ShapeCache::with_settings(
-                    env_shape_cache().unwrap_or(true),
+                    env_switch(SHAPE_CACHE_ENV).unwrap_or(true),
                     self.opts.shape_cache_capacity,
                 ),
             }),
@@ -1222,18 +1223,20 @@ fn execute_batch(shared: &Shared, rb: ReadyBatch) {
 
     let tracing = shared.tracer.is_enabled();
     let exec_start = shared.now_ns();
-    let result = if tracing {
-        let span = shared
+    let span = tracing.then(|| {
+        shared
             .tracer
-            .span(&format!("serve:batch:{}[{n}/{bucket}]", entry.name));
-        let r = shared.runtime.eval_with_plan_traced(
-            &variant.cp,
-            &variant.plan,
-            &bindings,
-            &shared.tracer,
-            span.id(),
-        );
-        drop(span);
+            .span(&format!("serve:batch:{}[{n}/{bucket}]", entry.name))
+    });
+    let result = shared.runtime.eval_with_plan_traced(
+        &variant.cp,
+        &variant.plan,
+        &bindings,
+        &shared.tracer,
+        span.as_ref().and_then(|s| s.id()),
+    );
+    drop(span);
+    if tracing {
         // Per-request root spans (submission → now) on synthetic lanes so
         // they render as parallel tracks. Roots, not batch-span children:
         // the interval starts at submission, before the batch began.
@@ -1246,12 +1249,7 @@ fn execute_batch(shared: &Shared, rb: ReadyBatch) {
                 SERVE_LANE_BASE + slot as u64,
             );
         }
-        r
-    } else {
-        shared
-            .runtime
-            .eval_with_plan(&variant.cp, &variant.plan, &bindings)
-    };
+    }
     let exec_ns = shared.now_ns().saturating_sub(exec_start);
 
     let mut failed = 0u64;

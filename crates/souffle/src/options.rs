@@ -1,7 +1,7 @@
 //! Pipeline configuration, including the ablation points of Table 4.
 
 use souffle_sched::GpuSpec;
-use souffle_te::Evaluator;
+use souffle_te::{env_switch, Evaluator};
 
 /// Which optimization stages run — the knobs of the paper's ablation
 /// study (§8.2): V0 is plain TVM+Ansor codegen; each step adds one
@@ -143,7 +143,7 @@ impl SouffleOptions {
     /// stage's candidates are post-vertical reduction chains.
     pub fn resolve_reduction_fusion(&self) -> bool {
         self.reduction_fusion
-            .or_else(souffle_transform::env_reduction_fusion)
+            .or_else(|| env_switch(souffle_transform::REDUCTION_FUSION_ENV))
             .unwrap_or(true)
     }
 
@@ -154,7 +154,7 @@ impl SouffleOptions {
         self.verify
             && self
                 .certify
-                .or_else(souffle_verify::env_certify)
+                .or_else(|| env_switch(souffle_verify::CERTIFY_ENV))
                 .unwrap_or(cfg!(debug_assertions))
     }
 

@@ -614,41 +614,7 @@ impl Souffle {
     ) -> Result<HashMap<TensorId, Tensor>, EvalError> {
         match self.options.evaluator {
             Evaluator::Naive => eval_program(&compiled.program, bindings),
-            Evaluator::Compiled => {
-                let cp = compile_program(&compiled.program);
-                let plan = Self::exec_plan(compiled, &cp);
-                if self.tracer.is_enabled() {
-                    let result = self.runtime().eval_keeping_intermediates_with_plan_traced(
-                        &cp,
-                        &plan,
-                        bindings,
-                        &self.tracer,
-                        None,
-                    );
-                    self.record_runtime_counters();
-                    result
-                } else {
-                    self.runtime()
-                        .eval_keeping_intermediates_with_plan(&cp, &plan, bindings)
-                }
-            }
-        }
-    }
-
-    /// Drains the runtime's per-window stats into tracer counters after a
-    /// traced eval (`arena.*` buffer recycling, `pool.*` work stealing,
-    /// `kernels.*` specialized-tier dispatches and fallback reasons).
-    fn record_runtime_counters(&self) {
-        let rs = self.runtime().take_stats();
-        let t = &self.tracer;
-        t.add("arena.reused", rs.arena.reused);
-        t.add("arena.allocated", rs.arena.allocated);
-        t.high_water("arena.high_water_bytes", rs.arena.high_water_bytes);
-        t.add("pool.tasks", rs.pool.tasks);
-        t.add("pool.steals", rs.pool.steals);
-        t.high_water("pool.max_queue_depth", rs.pool.max_queue_depth);
-        for (name, v) in rs.kernels.counters() {
-            t.add(name, v);
+            Evaluator::Compiled => self.eval_compiled(compiled, bindings, true),
         }
     }
 
@@ -668,17 +634,43 @@ impl Souffle {
         compiled: &Compiled,
         bindings: &HashMap<TensorId, Tensor>,
     ) -> Result<HashMap<TensorId, Tensor>, EvalError> {
+        self.eval_compiled(compiled, bindings, false)
+    }
+
+    /// Runs the compiled program on this facade's runtime under the
+    /// analysis-derived plan, recording spans into the facade's tracer.
+    /// When tracing, it then drains the runtime's per-window stats into
+    /// tracer counters (`arena.*` buffer recycling, `pool.*` work
+    /// stealing, `kernels.*` specialized-tier dispatches and fallback
+    /// reasons).
+    fn eval_compiled(
+        &self,
+        compiled: &Compiled,
+        bindings: &HashMap<TensorId, Tensor>,
+        keep_intermediates: bool,
+    ) -> Result<HashMap<TensorId, Tensor>, EvalError> {
         let cp = compile_program(&compiled.program);
-        let plan = Self::exec_plan(compiled, &cp);
-        if self.tracer.is_enabled() {
-            let result =
-                self.runtime()
-                    .eval_with_plan_traced(&cp, &plan, bindings, &self.tracer, None);
-            self.record_runtime_counters();
-            result
-        } else {
-            self.runtime().eval_with_plan(&cp, &plan, bindings)
+        let mut plan = Self::exec_plan(compiled, &cp);
+        if keep_intermediates {
+            plan = plan.keeping_intermediates();
         }
+        let result = self
+            .runtime()
+            .eval_with_plan_traced(&cp, &plan, bindings, &self.tracer, None);
+        let t = &self.tracer;
+        if t.is_enabled() {
+            let rs = self.runtime().take_stats();
+            t.add("arena.reused", rs.arena.reused);
+            t.add("arena.allocated", rs.arena.allocated);
+            t.high_water("arena.high_water_bytes", rs.arena.high_water_bytes);
+            t.add("pool.tasks", rs.pool.tasks);
+            t.add("pool.steals", rs.pool.steals);
+            t.high_water("pool.max_queue_depth", rs.pool.max_queue_depth);
+            for (name, v) in rs.kernels.counters() {
+                t.add(name, v);
+            }
+        }
+        result
     }
 
     /// The simulator configuration Souffle-generated code runs under.

@@ -79,20 +79,6 @@ const FAST_LANES: usize = 8;
 /// dispatch-dominated bodies fall back.
 pub(crate) const SMALL_TE_POINTS: i64 = 256;
 
-/// The `SOUFFLE_KERNEL_TIER` override, if set and parseable.
-pub(crate) fn env_kernel_tier() -> Option<bool> {
-    match std::env::var(KERNEL_TIER_ENV)
-        .ok()?
-        .trim()
-        .to_ascii_lowercase()
-        .as_str()
-    {
-        "on" | "1" | "true" => Some(true),
-        "off" | "0" | "false" => Some(false),
-        _ => None,
-    }
-}
-
 /// Per-evaluation execution switches, resolved once by the runtime and
 /// threaded into every `run_chunk` call.
 #[derive(Debug, Clone, Copy)]

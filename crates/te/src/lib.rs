@@ -78,3 +78,49 @@ pub use sym::{
 };
 pub use te::{ReduceOp, TeId, TensorExpr};
 pub use vm::{thread_count, THREADS_ENV};
+
+/// Reads an on/off environment switch such as `SOUFFLE_KERNEL_TIER`:
+/// `on`/`1`/`true` is `Some(true)`, `off`/`0`/`false` is `Some(false)`
+/// (case-insensitive, surrounding whitespace ignored). Unset or
+/// unrecognized values are `None`, so callers fall back to their option
+/// or default.
+pub fn env_switch(name: &str) -> Option<bool> {
+    match std::env::var(name)
+        .ok()?
+        .trim()
+        .to_ascii_lowercase()
+        .as_str()
+    {
+        "on" | "1" | "true" => Some(true),
+        "off" | "0" | "false" => Some(false),
+        _ => None,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::env_switch;
+
+    #[test]
+    fn env_switch_parses_on_off_spellings() {
+        const VAR: &str = "SOUFFLE_TE_TEST_ENV_SWITCH";
+        std::env::remove_var(VAR);
+        assert_eq!(env_switch(VAR), None, "unset");
+        for (value, want) in [
+            ("on", Some(true)),
+            ("1", Some(true)),
+            ("true", Some(true)),
+            ("off", Some(false)),
+            ("0", Some(false)),
+            ("false", Some(false)),
+            ("  On\n", Some(true)),
+            ("\tFALSE ", Some(false)),
+            ("yes", None),
+            ("", None),
+        ] {
+            std::env::set_var(VAR, value);
+            assert_eq!(env_switch(VAR), want, "{value:?}");
+        }
+        std::env::remove_var(VAR);
+    }
+}

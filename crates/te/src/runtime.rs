@@ -13,7 +13,7 @@
 //! A [`BufferArena`] recycles intermediate buffers: the plan records, per
 //! level, which tensors die (their last consumer has run), and those
 //! buffers are returned to the arena for reuse by later levels and by
-//! subsequent `eval` calls.
+//! subsequent evaluations.
 //!
 //! **Determinism.** Every output element is computed by the same
 //! `run_chunk` code as the serial path, writing disjoint slices; element
@@ -33,7 +33,7 @@
 use crate::arena::{ArenaStats, BufferArena};
 use crate::compile::{CompiledProgram, CompiledTe};
 use crate::interp::EvalError;
-use crate::kernels::{env_kernel_tier, ExecOpts, KernelStats};
+use crate::kernels::{ExecOpts, KernelStats, KERNEL_TIER_ENV};
 use crate::pool::{PoolStats, ThreadPool};
 use crate::program::{TensorId, TensorKind};
 use crate::vm::{detected_parallelism, env_threads, run_chunk, thread_count, SERIAL_THRESHOLD};
@@ -59,7 +59,8 @@ const TRACE_LANE_BASE: u64 = 1000;
 /// Build with [`ExecPlan::from_compiled`] (derives levels and liveness
 /// from the compiled program's own def-use edges) or
 /// [`ExecPlan::with_levels_and_last_use`] (levels and liveness supplied
-/// by `souffle-analysis`, validated against the program).
+/// by `souffle-analysis`, validated against the program), then optionally
+/// [`ExecPlan::keeping_intermediates`].
 #[derive(Debug, Clone)]
 pub struct ExecPlan {
     /// TE indices (into [`CompiledProgram::tes`]) per level; every input
@@ -67,6 +68,8 @@ pub struct ExecPlan {
     levels: Vec<Vec<usize>>,
     /// Tensor-table indices that die after each level.
     free_after: Vec<Vec<usize>>,
+    /// Free nothing and return every TE-produced tensor, not just outputs.
+    keep_intermediates: bool,
 }
 
 impl ExecPlan {
@@ -177,7 +180,20 @@ impl ExecPlan {
             let dead_at = last_use[t].map_or(level_of[i], |j| level_of[j]);
             free_after[dead_at].push(t);
         }
-        ExecPlan { levels, free_after }
+        ExecPlan {
+            levels,
+            free_after,
+            keep_intermediates: false,
+        }
+    }
+
+    /// This plan, but evaluation keeps every TE-produced tensor (the
+    /// [`CompiledProgram::eval`] contract, mirroring
+    /// [`crate::interp::eval_program`]): no buffer is recycled during the
+    /// run, since all of them escape to the caller.
+    pub fn keeping_intermediates(mut self) -> ExecPlan {
+        self.keep_intermediates = true;
+        self
     }
 
     /// TE indices per wavefront level.
@@ -373,7 +389,9 @@ impl Runtime {
     /// the explicit [`RuntimeOptions::kernel_tier`] if set, otherwise the
     /// `SOUFFLE_KERNEL_TIER` environment variable, otherwise on.
     pub fn kernels_enabled(&self) -> bool {
-        self.kernel_tier.or_else(env_kernel_tier).unwrap_or(true)
+        self.kernel_tier
+            .or_else(|| crate::env_switch(KERNEL_TIER_ENV))
+            .unwrap_or(true)
     }
 
     /// Whether relaxed-reduction fast math is enabled on this runtime.
@@ -428,57 +446,39 @@ impl Runtime {
         }
     }
 
-    /// Evaluates `cp`, returning **output tensors only** (intermediates
-    /// are recycled through the arena). Levels come from
-    /// [`ExecPlan::from_compiled`]; use [`Runtime::eval_with_plan`] to
-    /// supply analysis-derived levels and liveness.
+    /// Evaluates `cp` under `plan`, returning the **output tensors only**
+    /// (intermediates are recycled through the arena) — or, for a plan
+    /// built with [`ExecPlan::keeping_intermediates`], every TE-produced
+    /// tensor. This is [`Runtime::eval_with_plan_traced`] with a disabled
+    /// tracer.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`Runtime::eval_with_plan_traced`].
+    pub fn eval_with_plan(
+        &self,
+        cp: &CompiledProgram,
+        plan: &ExecPlan,
+        bindings: &HashMap<TensorId, Tensor>,
+    ) -> Result<HashMap<TensorId, Tensor>, EvalError> {
+        self.eval_with_plan_traced(cp, plan, bindings, &Tracer::disabled(), None)
+    }
+
+    /// Evaluates `cp` under `plan` (see [`Runtime::eval_with_plan`]),
+    /// recording an `eval` span (with per-level `level:<k>` children and
+    /// per-TE `te:<name>` grandchildren) into `tracer`, nested under
+    /// `parent` when given. A disabled tracer records nothing.
+    ///
+    /// Span *structure* is recorded by the calling thread in plan order,
+    /// so it is identical for every pool size; only durations (gathered
+    /// from the workers) vary. Results are bit-identical whether or not
+    /// the tracer is enabled — tracing never touches data.
     ///
     /// # Errors
     ///
     /// Exactly the interpreter's [`EvalError`]s, in the interpreter's
     /// order (failing runs fall back to serial definition-order
     /// execution to guarantee this).
-    pub fn eval(
-        &self,
-        cp: &CompiledProgram,
-        bindings: &HashMap<TensorId, Tensor>,
-    ) -> Result<HashMap<TensorId, Tensor>, EvalError> {
-        self.eval_inner(cp, &ExecPlan::from_compiled(cp), bindings, false, None)
-    }
-
-    /// [`Runtime::eval`] recording an `eval` span (with per-level
-    /// `level:<k>` children and per-TE `te:<name>` grandchildren) into
-    /// `tracer`, nested under `parent` when given.
-    ///
-    /// Span *structure* is recorded by the calling thread in plan order,
-    /// so it is identical for every pool size; only durations (gathered
-    /// from the workers) vary. Results are bit-identical to
-    /// [`Runtime::eval`] — tracing never touches data.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Runtime::eval`].
-    pub fn eval_traced(
-        &self,
-        cp: &CompiledProgram,
-        bindings: &HashMap<TensorId, Tensor>,
-        tracer: &Tracer,
-        parent: Option<SpanId>,
-    ) -> Result<HashMap<TensorId, Tensor>, EvalError> {
-        self.eval_inner(
-            cp,
-            &ExecPlan::from_compiled(cp),
-            bindings,
-            false,
-            Some((tracer, parent)),
-        )
-    }
-
-    /// [`Runtime::eval_traced`] with a caller-supplied [`ExecPlan`].
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Runtime::eval`].
     pub fn eval_with_plan_traced(
         &self,
         cp: &CompiledProgram,
@@ -486,79 +486,6 @@ impl Runtime {
         bindings: &HashMap<TensorId, Tensor>,
         tracer: &Tracer,
         parent: Option<SpanId>,
-    ) -> Result<HashMap<TensorId, Tensor>, EvalError> {
-        self.eval_inner(cp, plan, bindings, false, Some((tracer, parent)))
-    }
-
-    /// [`Runtime::eval_keeping_intermediates_with_plan`] recording spans
-    /// into `tracer` (see [`Runtime::eval_traced`]).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Runtime::eval`].
-    pub fn eval_keeping_intermediates_with_plan_traced(
-        &self,
-        cp: &CompiledProgram,
-        plan: &ExecPlan,
-        bindings: &HashMap<TensorId, Tensor>,
-        tracer: &Tracer,
-        parent: Option<SpanId>,
-    ) -> Result<HashMap<TensorId, Tensor>, EvalError> {
-        self.eval_inner(cp, plan, bindings, true, Some((tracer, parent)))
-    }
-
-    /// [`Runtime::eval`] with a caller-supplied [`ExecPlan`].
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Runtime::eval`].
-    pub fn eval_with_plan(
-        &self,
-        cp: &CompiledProgram,
-        plan: &ExecPlan,
-        bindings: &HashMap<TensorId, Tensor>,
-    ) -> Result<HashMap<TensorId, Tensor>, EvalError> {
-        self.eval_inner(cp, plan, bindings, false, None)
-    }
-
-    /// Evaluates `cp` keeping every TE-produced tensor (the
-    /// [`CompiledProgram::eval`] compatibility contract, mirroring
-    /// [`crate::interp::eval_program`]). No buffers are recycled during
-    /// the run since all of them escape.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Runtime::eval`].
-    pub fn eval_keeping_intermediates(
-        &self,
-        cp: &CompiledProgram,
-        bindings: &HashMap<TensorId, Tensor>,
-    ) -> Result<HashMap<TensorId, Tensor>, EvalError> {
-        self.eval_inner(cp, &ExecPlan::from_compiled(cp), bindings, true, None)
-    }
-
-    /// [`Runtime::eval_keeping_intermediates`] with a caller-supplied
-    /// plan.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Runtime::eval`].
-    pub fn eval_keeping_intermediates_with_plan(
-        &self,
-        cp: &CompiledProgram,
-        plan: &ExecPlan,
-        bindings: &HashMap<TensorId, Tensor>,
-    ) -> Result<HashMap<TensorId, Tensor>, EvalError> {
-        self.eval_inner(cp, plan, bindings, true, None)
-    }
-
-    fn eval_inner(
-        &self,
-        cp: &CompiledProgram,
-        plan: &ExecPlan,
-        bindings: &HashMap<TensorId, Tensor>,
-        keep_all: bool,
-        trace: Option<(&Tracer, Option<SpanId>)>,
     ) -> Result<HashMap<TensorId, Tensor>, EvalError> {
         enum Slot<'a> {
             Empty,
@@ -581,16 +508,15 @@ impl Runtime {
             slots[id.0] = Slot::Bound(t);
         }
         let threads = self.effective_streams();
-        let recycle = self.arena_enabled && !keep_all;
+        let recycle = self.arena_enabled && !plan.keep_intermediates;
         let exec = self.exec_opts();
 
         // Tracing: the coordinator records every span (eval → level:<k> →
         // te:<name>) in plan order so the tree structure is identical for
         // every pool size; workers only contribute wall-clock timestamps
         // via the per-TE atomics below.
-        let tracing = trace.filter(|(t, _)| t.is_enabled());
-        let tr: Option<&Tracer> = tracing.map(|(t, _)| t);
-        let eval_span = tracing.map(|(t, parent)| t.span_under("eval", parent));
+        let tr: Option<&Tracer> = tracer.is_enabled().then_some(tracer);
+        let eval_span = tr.map(|t| t.span_under("eval", parent));
 
         for (lvl, tes) in plan.levels.iter().enumerate() {
             let level_span = eval_span.as_ref().map(|e| e.child(&format!("level:{lvl}")));
@@ -709,7 +635,7 @@ impl Runtime {
                         }
                     }
                 }
-                return eval_serial(cp, bindings, keep_all, exec);
+                return eval_serial(cp, plan, bindings, exec);
             }
 
             // Tally kernel dispatches for the level (selection is static,
@@ -768,7 +694,7 @@ impl Runtime {
             let info = &cp.tensors[i];
             match slot {
                 Slot::Owned(v) => {
-                    if keep_all || info.kind == TensorKind::Output {
+                    if plan.keep_intermediates || info.kind == TensorKind::Output {
                         out.insert(
                             TensorId(i),
                             Tensor::from_parts(info.shape.clone(), info.dtype, v),
@@ -813,8 +739,8 @@ fn chunk_len(te: &CompiledTe, threads: usize) -> usize {
 /// fails identically, just in the canonical order).
 fn eval_serial(
     cp: &CompiledProgram,
+    plan: &ExecPlan,
     bindings: &HashMap<TensorId, Tensor>,
-    keep_all: bool,
     exec: ExecOpts,
 ) -> Result<HashMap<TensorId, Tensor>, EvalError> {
     let mut values: HashMap<TensorId, Tensor> = HashMap::new();
@@ -851,7 +777,7 @@ fn eval_serial(
             Tensor::from_parts(te.out_shape.clone(), dtype, data),
         );
     }
-    if keep_all {
+    if plan.keep_intermediates {
         for &id in cp.free_tensors() {
             if cp.tensor(id).kind != TensorKind::Output {
                 values.remove(&id);
@@ -923,12 +849,13 @@ mod tests {
     fn pooled_eval_matches_interpreter_on_diamond() {
         let p = diamond();
         let cp = compile_program(&p);
+        let plan = ExecPlan::from_compiled(&cp);
         let bindings = random_bindings(&p, 42);
         let want = eval_program(&p, &bindings).unwrap();
         let rt = Runtime::with_threads(4);
         // Repeated evals recycle arena buffers; stale data must never leak.
         for _ in 0..20 {
-            let got = rt.eval(&cp, &bindings).unwrap();
+            let got = rt.eval_with_plan(&cp, &plan, &bindings).unwrap();
             for id in p.outputs() {
                 let (w, g) = (&want[&id], &got[&id]);
                 assert_eq!(w.shape(), g.shape());
@@ -946,14 +873,32 @@ mod tests {
         let cp = compile_program(&p);
         let bindings = random_bindings(&p, 7);
         let want = eval_program(&p, &bindings).unwrap();
-        let got = Runtime::with_threads(2)
-            .eval_keeping_intermediates(&cp, &bindings)
-            .unwrap();
-        assert_eq!(want.len(), got.len());
-        for (id, w) in &want {
-            for (a, b) in w.data().iter().zip(got[id].data()) {
-                assert_eq!(a.to_bits(), b.to_bits());
+        let derived = ExecPlan::from_compiled(&cp);
+        let level_of: Vec<usize> = (0..cp.tes().len())
+            .map(|ti| {
+                derived
+                    .levels()
+                    .iter()
+                    .position(|l| l.contains(&ti))
+                    .unwrap()
+            })
+            .collect();
+        let supplied = ExecPlan::with_levels_and_last_use(&cp, &level_of, &last_consumer_map(&cp));
+        for plan in [derived, supplied] {
+            let plan = plan.keeping_intermediates();
+            let rt = Runtime::with_threads(2);
+            // Two runs on one runtime: every buffer escapes to the caller,
+            // so none may ever come back through the arena.
+            for _ in 0..2 {
+                let got = rt.eval_with_plan(&cp, &plan, &bindings).unwrap();
+                assert_eq!(want.len(), got.len());
+                for (id, w) in &want {
+                    for (a, b) in w.data().iter().zip(got[id].data()) {
+                        assert_eq!(a.to_bits(), b.to_bits());
+                    }
+                }
             }
+            assert_eq!(rt.arena_stats().reused, 0, "escaping buffers were recycled");
         }
     }
 
@@ -1001,8 +946,11 @@ mod tests {
     fn saturated_pool_never_schedules_cross_thread_handoffs() {
         let p = diamond();
         let cp = compile_program(&p);
+        let plan = ExecPlan::from_compiled(&cp);
         let bindings = random_bindings(&p, 11);
-        let want = Runtime::with_threads(4).eval(&cp, &bindings).unwrap();
+        let want = Runtime::with_threads(4)
+            .eval_with_plan(&cp, &plan, &bindings)
+            .unwrap();
 
         let rt = Runtime::with_options(RuntimeOptions {
             threads: Some(8),
@@ -1013,7 +961,7 @@ mod tests {
         assert!(rt.pool.is_some(), "the pool exists; it must simply idle");
         assert_eq!(rt.effective_streams(), 1);
         for _ in 0..5 {
-            let got = rt.eval(&cp, &bindings).unwrap();
+            let got = rt.eval_with_plan(&cp, &plan, &bindings).unwrap();
             for id in p.outputs() {
                 for (a, b) in want[&id].data().iter().zip(got[&id].data()) {
                     assert_eq!(a.to_bits(), b.to_bits());
@@ -1063,8 +1011,9 @@ mod tests {
         let bindings = random_bindings(&p, 1);
         let want = eval_program(&p, &bindings).unwrap_err();
         let cp = compile_program(&p);
+        let plan = ExecPlan::from_compiled(&cp);
         for rt in [Runtime::with_threads(1), Runtime::with_threads(4)] {
-            assert_eq!(rt.eval(&cp, &bindings).unwrap_err(), want);
+            assert_eq!(rt.eval_with_plan(&cp, &plan, &bindings).unwrap_err(), want);
         }
     }
 }

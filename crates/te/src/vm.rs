@@ -33,6 +33,7 @@ use crate::compile::{BodyKind, CompiledProgram, CompiledTe, Instr};
 use crate::interp::EvalError;
 use crate::kernels::{self, ExecOpts, KernelSel};
 use crate::program::TensorId;
+use crate::runtime::ExecPlan;
 use souffle_tensor::Tensor;
 use std::collections::HashMap;
 
@@ -62,7 +63,8 @@ impl CompiledProgram {
         &self,
         bindings: &HashMap<TensorId, Tensor>,
     ) -> Result<HashMap<TensorId, Tensor>, EvalError> {
-        crate::runtime::global().eval_keeping_intermediates(self, bindings)
+        let plan = ExecPlan::from_compiled(self).keeping_intermediates();
+        crate::runtime::global().eval_with_plan(self, &plan, bindings)
     }
 }
 

@@ -8,7 +8,7 @@
 //! per call, identically for every pool size.
 
 use souffle_te::interp::{eval_program, random_bindings};
-use souffle_te::{builders, compile_program, PoolStats, Runtime, TeProgram};
+use souffle_te::{builders, compile_program, ExecPlan, PoolStats, Runtime, TeProgram};
 use souffle_tensor::{DType, Shape};
 use souffle_trace::Tracer;
 
@@ -30,13 +30,14 @@ fn diamond() -> TeProgram {
 fn take_stats_windows_per_eval_across_pool_sizes() {
     let p = diamond();
     let cp = compile_program(&p);
+    let plan = ExecPlan::from_compiled(&cp);
     let bindings = random_bindings(&p, 3);
     for threads in [1, 2, 8] {
         let rt = Runtime::with_threads(threads);
 
         // Eval 1: mm/sig/exp are fresh allocations; `add` reuses mm's
         // buffer (freed after level 1, before level 2 acquires).
-        rt.eval(&cp, &bindings).unwrap();
+        rt.eval_with_plan(&cp, &plan, &bindings).unwrap();
         let first = rt.take_stats();
         assert_eq!(
             (first.arena.allocated, first.arena.reused),
@@ -54,7 +55,7 @@ fn take_stats_windows_per_eval_across_pool_sizes() {
         // counts, which is exactly what the accumulate-forever bug broke.
         let mut windows = Vec::new();
         for _ in 0..2 {
-            rt.eval(&cp, &bindings).unwrap();
+            rt.eval_with_plan(&cp, &plan, &bindings).unwrap();
             windows.push(rt.take_stats());
         }
         for w in &windows {
@@ -79,9 +80,10 @@ fn take_stats_windows_per_eval_across_pool_sizes() {
 fn take_stats_drains_pool_counters() {
     let p = diamond();
     let cp = compile_program(&p);
+    let plan = ExecPlan::from_compiled(&cp);
     let bindings = random_bindings(&p, 4);
     let rt = Runtime::with_threads(4);
-    rt.eval(&cp, &bindings).unwrap();
+    rt.eval_with_plan(&cp, &plan, &bindings).unwrap();
     let first = rt.take_stats();
     // Level 1 (sig ‖ exp) submits through the pool.
     assert!(first.pool.tasks >= 2, "pooled level must submit tasks");
@@ -96,12 +98,15 @@ fn take_stats_drains_pool_counters() {
 fn traced_eval_is_bit_identical_and_well_formed() {
     let p = diamond();
     let cp = compile_program(&p);
+    let plan = ExecPlan::from_compiled(&cp);
     let bindings = random_bindings(&p, 5);
     let want = eval_program(&p, &bindings).unwrap();
     for threads in [1, 2, 8] {
         let rt = Runtime::with_threads(threads);
         let tracer = Tracer::new();
-        let got = rt.eval_traced(&cp, &bindings, &tracer, None).unwrap();
+        let got = rt
+            .eval_with_plan_traced(&cp, &plan, &bindings, &tracer, None)
+            .unwrap();
         for id in p.outputs() {
             for (a, b) in want[&id].data().iter().zip(got[&id].data()) {
                 assert_eq!(a.to_bits(), b.to_bits(), "threads={threads}");
@@ -125,9 +130,11 @@ fn traced_eval_is_bit_identical_and_well_formed() {
 fn disabled_tracer_records_nothing() {
     let p = diamond();
     let cp = compile_program(&p);
+    let plan = ExecPlan::from_compiled(&cp);
     let bindings = random_bindings(&p, 6);
     let rt = Runtime::with_threads(2);
     let tracer = Tracer::disabled();
-    rt.eval_traced(&cp, &bindings, &tracer, None).unwrap();
+    rt.eval_with_plan_traced(&cp, &plan, &bindings, &tracer, None)
+        .unwrap();
     assert!(tracer.take().spans.is_empty());
 }

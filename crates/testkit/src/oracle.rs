@@ -21,7 +21,8 @@ use souffle_sched::{program_signature, GpuSpec};
 use souffle_te::interp::{eval_with_random_inputs_using, random_bindings, EvalError};
 use souffle_te::sym::{bucket_boundaries, DynProgram, SymTable};
 use souffle_te::{
-    compile_program, source::te_source, Evaluator, Runtime, RuntimeOptions, TeProgram, TensorId,
+    compile_program, source::te_source, Evaluator, ExecPlan, Runtime, RuntimeOptions, TeProgram,
+    TensorId,
 };
 use souffle_tensor::Tensor;
 use souffle_transform::{
@@ -505,8 +506,9 @@ pub fn check_stage_with(
         // Second compiled path: the pooled wavefront runtime (outputs
         // only). Same bindings, same bit-exactness bar as the VM above.
         let bindings = random_bindings(&transformed, seed);
+        let cp = compile_program(&transformed);
         let pooled = pooled_runtime()
-            .eval(&compile_program(&transformed), &bindings)
+            .eval_with_plan(&cp, &ExecPlan::from_compiled(&cp), &bindings)
             .map_err(|error| OracleError::Eval {
                 stage,
                 which: "after",
@@ -612,8 +614,13 @@ pub fn check_batched(program: &TeProgram, batch: usize, seed: u64) -> Result<(),
         })
         .collect();
     let refs: Vec<&HashMap<TensorId, Tensor>> = requests.iter().collect();
+    let batched_cp = compile_program(&batched);
     let got_batched = pooled_runtime()
-        .eval(&compile_program(&batched), &batch_bindings(program, &refs))
+        .eval_with_plan(
+            &batched_cp,
+            &ExecPlan::from_compiled(&batched_cp),
+            &batch_bindings(program, &refs),
+        )
         .map_err(|error| OracleError::Eval {
             stage,
             which: "after",
@@ -786,7 +793,11 @@ pub fn check_shape_bucket(program: &TeProgram, seed: u64) -> Result<(), OracleEr
             .map(|slot| &requests[slot.min(n - 1)])
             .collect();
         let got_batched = pooled_runtime()
-            .eval(cp, &batch_bindings(program, &refs))
+            .eval_with_plan(
+                cp,
+                &ExecPlan::from_compiled(cp),
+                &batch_bindings(program, &refs),
+            )
             .map_err(|error| OracleError::Eval {
                 stage,
                 which: "after",
@@ -884,7 +895,7 @@ pub fn check_kernel_tier(program: &TeProgram, seed: u64) -> Result<(), OracleErr
     let tol = Tolerance::default(); // ignored: bit_exact comparison
     for kernels in [true, false] {
         let got = tier_runtime(kernels)
-            .eval(&cp, &bindings)
+            .eval_with_plan(&cp, &ExecPlan::from_compiled(&cp), &bindings)
             .map_err(|error| OracleError::Eval {
                 stage,
                 which: if kernels {

@@ -43,8 +43,7 @@ pub use horizontal::{
     find_horizontal_groups, horizontal_fuse_program, horizontal_fuse_program_logged,
 };
 pub use reduction::{
-    env_reduction_fusion, reduction_fuse_program, reduction_fuse_program_logged, FusionStats,
-    REDUCTION_FUSION_ENV,
+    reduction_fuse_program, reduction_fuse_program_logged, FusionStats, REDUCTION_FUSION_ENV,
 };
 pub use rewrite::TransformStats;
 pub use sym_traffic::{program_bytes_poly, te_bytes_poly, SymTraffic};

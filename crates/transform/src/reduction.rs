@@ -75,20 +75,6 @@ use souffle_te::{Rewrite, RewriteLog, ScalarExpr, TeProgram, TensorExpr, TensorI
 /// suites without touching call sites.
 pub const REDUCTION_FUSION_ENV: &str = "SOUFFLE_REDUCTION_FUSION";
 
-/// The `SOUFFLE_REDUCTION_FUSION` override, if set and parseable.
-pub fn env_reduction_fusion() -> Option<bool> {
-    match std::env::var(REDUCTION_FUSION_ENV)
-        .ok()?
-        .trim()
-        .to_ascii_lowercase()
-        .as_str()
-    {
-        "on" | "1" | "true" => Some(true),
-        "off" | "0" | "false" => Some(false),
-        _ => None,
-    }
-}
-
 /// Counters for one reduction-fusion run, surfaced as `fusion.*` on the
 /// trace spine and in `Souffle::report()`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

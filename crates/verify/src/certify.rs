@@ -62,24 +62,10 @@ use std::fmt;
 /// debug-build default.
 pub const CERTIFY_ENV: &str = "SOUFFLE_CERTIFY";
 
-/// The `SOUFFLE_CERTIFY` override, if set and parseable.
-pub fn env_certify() -> Option<bool> {
-    match std::env::var(CERTIFY_ENV)
-        .ok()?
-        .trim()
-        .to_ascii_lowercase()
-        .as_str()
-    {
-        "on" | "1" | "true" => Some(true),
-        "off" | "0" | "false" => Some(false),
-        _ => None,
-    }
-}
-
 /// Whether certification should run absent an explicit option: the env
 /// override if present, else on in debug builds (mirroring `verify`).
 pub fn certify_default() -> bool {
-    env_certify().unwrap_or(cfg!(debug_assertions))
+    souffle_te::env_switch(CERTIFY_ENV).unwrap_or(cfg!(debug_assertions))
 }
 
 /// Unfolded bodies beyond this node count are not canonicalized; the
@@ -1549,11 +1535,5 @@ mod tests {
         ];
         let (_, diags) = certify_schedule(&p, &clobber);
         assert!(diags.has_code(Code::CertifySchedule), "{diags}");
-    }
-
-    #[test]
-    fn env_knob_parses() {
-        assert_eq!(env_certify(), None);
-        assert!(matches!(certify_default(), true | false));
     }
 }

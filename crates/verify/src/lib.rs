@@ -35,8 +35,7 @@ mod races;
 mod wellformed;
 
 pub use certify::{
-    certify_batch, certify_default, certify_schedule, certify_transform, env_certify, Certificate,
-    CERTIFY_ENV,
+    certify_batch, certify_default, certify_schedule, certify_transform, Certificate, CERTIFY_ENV,
 };
 pub use diag::{Code, Diagnostic, Diagnostics, Loc, Severity};
 pub use symbolic::{verify_dyn, verify_dyn_spec, SymVerifyReport};

@@ -33,6 +33,12 @@ SOUFFLE_CERTIFY=on cargo run -q --release --offline -p souffle --bin souffle-ver
 echo "== cargo test -q --offline =="
 cargo test -q --offline --workspace
 
+# The benchmark (perfbench/, a workspace of its own) drives only the
+# public API; building it and running its unit tests here makes an API
+# change it depends on fail this gate instead of the benchmark run.
+echo "== perfbench build + unit tests =="
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 # Observability gate: golden span-tree structure for BERT/LSTM (refresh
 # with TESTKIT_BLESS=1 on intentional pipeline changes), trace property
 # suite, and an end-to-end `souffle-cli --trace-out` run whose Chrome

@@ -191,7 +191,7 @@ fn seq_models_serve_every_length_bit_exactly() {
         // One compiled variant per sequence bucket actually used — no
         // per-request recompiles. (With SOUFFLE_SHAPE_CACHE=off nothing is
         // retained; the bit-exactness sweep above is the contract then.)
-        if souffle::env_shape_cache().unwrap_or(true) {
+        if souffle_te::env_switch(souffle::SHAPE_CACHE_ENV).unwrap_or(true) {
             let used: usize = seq_buckets.iter().filter(|&&b| b <= max).count();
             assert_eq!(
                 server.cached_variants("m"),

@@ -23,7 +23,8 @@ use std::sync::OnceLock;
 use souffle_frontend::{build_model, Model, ModelConfig};
 use souffle_te::interp::{eval_program, random_bindings};
 use souffle_te::{
-    builders, compile_program, FallbackReason, Runtime, RuntimeOptions, TeProgram, TensorId,
+    builders, compile_program, ExecPlan, FallbackReason, Runtime, RuntimeOptions, TeProgram,
+    TensorId,
 };
 use souffle_tensor::{DType, Shape, Tensor};
 use souffle_testkit::oracle::{check_stage, Stage, Tolerance};
@@ -93,8 +94,9 @@ fn assert_tier_matches_interpreter(program: &TeProgram, seed: u64) -> Result<(),
     let bindings = random_bindings(program, seed);
     let want = eval_program(program, &bindings);
     let cp = compile_program(program);
+    let plan = ExecPlan::from_compiled(&cp).keeping_intermediates();
     for (label, rt) in runtimes() {
-        let got = rt.eval_keeping_intermediates(&cp, &bindings);
+        let got = rt.eval_with_plan(&cp, &plan, &bindings);
         match (&want, got) {
             (Err(we), Err(ge)) => {
                 if *we != ge {
@@ -305,7 +307,10 @@ fn fast_math_is_close_but_relaxed() {
     });
     let bindings = random_bindings(&p, 31);
     let want = eval_program(&p, &bindings).unwrap();
-    let got = rt_fast.eval(&compile_program(&p), &bindings).unwrap();
+    let cp = compile_program(&p);
+    let got = rt_fast
+        .eval_with_plan(&cp, &ExecPlan::from_compiled(&cp), &bindings)
+        .unwrap();
     let tol = Tolerance::default();
     let mut any_diff = false;
     for (id, w) in &want {

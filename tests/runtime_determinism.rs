@@ -51,8 +51,10 @@ fn assert_pool_matches_interpreter(program: &TeProgram, seed: u64) -> Result<(),
     let bindings = random_bindings(program, seed);
     let want = eval_program(program, &bindings);
     let cp = compile_program(program);
+    let plan = ExecPlan::from_compiled(&cp);
+    let keeping = plan.clone().keeping_intermediates();
     for (label, rt) in runtimes() {
-        let got = rt.eval_keeping_intermediates(&cp, &bindings);
+        let got = rt.eval_with_plan(&cp, &keeping, &bindings);
         match (&want, got) {
             (Err(we), Err(ge)) => {
                 if *we != ge {
@@ -76,7 +78,7 @@ fn assert_pool_matches_interpreter(program: &TeProgram, seed: u64) -> Result<(),
                 // The outputs-only entry point must agree on the subset it
                 // returns — this is the path that recycles buffers.
                 let outs = rt
-                    .eval(&cp, &bindings)
+                    .eval_with_plan(&cp, &plan, &bindings)
                     .map_err(|e| format!("[{label}] outputs-only eval failed: {e:?}"))?;
                 let out_ids = program.outputs();
                 if outs.len() != out_ids.len() {
@@ -198,6 +200,7 @@ fn repeated_evals_on_recycled_buffers_are_stable() {
     let sm = builders::softmax(&mut p, "sm", mm);
     p.mark_output(sm);
     let cp = compile_program(&p);
+    let plan = ExecPlan::from_compiled(&cp);
 
     let rt = Runtime::with_options(RuntimeOptions {
         threads: Some(4),
@@ -211,7 +214,7 @@ fn repeated_evals_on_recycled_buffers_are_stable() {
         // payloads, then check round 0's bindings again at the end.
         let seed = if round % 2 == 0 { 5 } else { 6 };
         let bindings = random_bindings(&p, seed);
-        let got = rt.eval(&cp, &bindings).unwrap();
+        let got = rt.eval_with_plan(&cp, &plan, &bindings).unwrap();
         let want = eval_program(&p, &bindings).unwrap();
         compare_maps("recycled", &p, &got, &want, seed).unwrap();
         if round == 0 {

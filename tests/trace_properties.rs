@@ -93,12 +93,11 @@ forall!(
         let bindings = random_bindings(&program, 11);
         let want = eval_program(&program, &bindings);
         let cp = compile_program(&program);
-        let plan = ExecPlan::from_compiled(&cp);
+        let plan = ExecPlan::from_compiled(&cp).keeping_intermediates();
         for (label, rt) in runtimes() {
-            let untraced = rt.eval_keeping_intermediates_with_plan(&cp, &plan, &bindings);
+            let untraced = rt.eval_with_plan(&cp, &plan, &bindings);
             let tracer = Tracer::new();
-            let traced = rt
-                .eval_keeping_intermediates_with_plan_traced(&cp, &plan, &bindings, &tracer, None);
+            let traced = rt.eval_with_plan_traced(&cp, &plan, &bindings, &tracer, None);
             let trace = tracer.take();
             trace
                 .well_formed()
@@ -140,10 +139,11 @@ forall!(
         let program = spec.build();
         let bindings = random_bindings(&program, 3);
         let cp = compile_program(&program);
+        let plan = ExecPlan::from_compiled(&cp);
         let (_, rt) = &runtimes()[1];
         let tracer = Tracer::disabled();
-        let a = rt.eval_traced(&cp, &bindings, &tracer, None);
-        let b = rt.eval(&cp, &bindings);
+        let a = rt.eval_with_plan_traced(&cp, &plan, &bindings, &tracer, None);
+        let b = rt.eval_with_plan(&cp, &plan, &bindings);
         match (a, b) {
             (Ok(a), Ok(b)) => {
                 if bits(&a) != bits(&b) {
