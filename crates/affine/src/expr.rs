@@ -175,6 +175,15 @@ impl IndexExpr {
         Some((coeffs, constant))
     }
 
+    /// Adds `factor` times the expression's linear form into `coeffs`
+    /// (one slot per variable) and `constant` — [`IndexExpr::as_linear`]
+    /// without the allocation, for building strided flat offsets. Returns
+    /// `None`, with a partial sum written, when the expression is not
+    /// affine over `coeffs.len()` variables.
+    pub fn add_linear_to(&self, factor: i64, coeffs: &mut [i64], constant: &mut i64) -> Option<()> {
+        self.accumulate_linear(coeffs.len(), factor, coeffs, constant)
+    }
+
     fn accumulate_linear(
         &self,
         n_vars: usize,
@@ -293,6 +302,30 @@ impl IndexExpr {
         }
     }
 
+    /// Simplifies under the knowledge that every `Var(i)` lies in
+    /// `bounds[i] = (lo, hi)` (inclusive). The result evaluates to the same
+    /// value as `self` at every point of that box, and nowhere else is
+    /// promised.
+    ///
+    /// Each floor-div/mod by `k` splits its operand's sum of terms into the
+    /// `k`-divisible part `Q` (the constant's multiple of `k` included) and
+    /// the remainder `R`, then rewrites `floor((k·Q + R)/k) → Q + floor(R/k)`
+    /// and `(k·Q + R) mod k → R mod k`. When the interval of `R` over the box
+    /// lies inside one block `[m·k, (m+1)·k)`, `floor(R/k)` becomes `m` and
+    /// `R mod k` becomes `R - m·k`. This is what turns the flat-index
+    /// linearize/delinearize pairs left by composed reshapes back into affine
+    /// accesses, e.g. `(64·v0 + 16·v1 + v2) / 64 → v0` for `v1 < 4, v2 < 16`.
+    ///
+    /// [`IndexExpr::simplified`] is box-free and stays the canonical form;
+    /// this method is for consumers that know the iteration box.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a variable index is out of range of `bounds`.
+    pub fn simplified_within(&self, bounds: &[(i64, i64)]) -> IndexExpr {
+        Terms::of(self, bounds).to_expr()
+    }
+
     /// Conservative interval of the expression when each variable `v_i`
     /// ranges over `bounds[i] = (lo, hi)` inclusive. Used for static bounds
     /// checking and for tile-footprint estimation in the scheduler.
@@ -363,6 +396,136 @@ impl IndexExpr {
             (None, c) => IndexExpr::Const(c),
             (Some(e), 0) => e,
             (Some(e), c) => IndexExpr::Add(Box::new(e), Box::new(IndexExpr::Const(c))),
+        }
+    }
+}
+
+/// A sum of terms `Σ coeff·atom + constant`, where an atom is a variable or
+/// an irreducible floor-div/mod: the working form of
+/// [`IndexExpr::simplified_within`].
+struct Terms {
+    atoms: Vec<(IndexExpr, i64)>,
+    constant: i64,
+}
+
+impl Terms {
+    fn constant(c: i64) -> Terms {
+        Terms {
+            atoms: Vec::new(),
+            constant: c,
+        }
+    }
+
+    fn atom(e: IndexExpr) -> Terms {
+        Terms {
+            atoms: vec![(e, 1)],
+            constant: 0,
+        }
+    }
+
+    fn of(e: &IndexExpr, bounds: &[(i64, i64)]) -> Terms {
+        match e {
+            IndexExpr::Var(_) => Terms::atom(e.clone()),
+            IndexExpr::Const(c) => Terms::constant(*c),
+            IndexExpr::Add(a, b) => Terms::of(a, bounds).plus(Terms::of(b, bounds), 1),
+            IndexExpr::Sub(a, b) => Terms::of(a, bounds).plus(Terms::of(b, bounds), -1),
+            IndexExpr::Mul(a, k) => Terms::constant(0).plus(Terms::of(a, bounds), *k),
+            IndexExpr::FloorDiv(a, k) => {
+                let (q, r) = Terms::of(a, bounds).split(*k);
+                match r.block(*k, bounds) {
+                    Some(m) => q.plus(Terms::constant(m), 1),
+                    None => q.plus(
+                        Terms::atom(IndexExpr::FloorDiv(Box::new(r.to_expr()), *k)),
+                        1,
+                    ),
+                }
+            }
+            IndexExpr::Mod(a, k) => {
+                let (_, r) = Terms::of(a, bounds).split(*k);
+                match r.block(*k, bounds) {
+                    Some(m) => r.plus(Terms::constant(m), -*k),
+                    None => Terms::atom(IndexExpr::Mod(Box::new(r.to_expr()), *k)),
+                }
+            }
+        }
+    }
+
+    /// `self + sign·other`, merging equal atoms.
+    fn plus(mut self, other: Terms, sign: i64) -> Terms {
+        for (atom, c) in other.atoms {
+            match self.atoms.iter_mut().find(|(a, _)| *a == atom) {
+                Some((_, acc)) => *acc += sign * c,
+                None => self.atoms.push((atom, sign * c)),
+            }
+        }
+        self.constant += sign * other.constant;
+        self.atoms.retain(|(_, c)| *c != 0);
+        self
+    }
+
+    /// Splits into `(Q, R)` with `self = k·Q + R`: `Q` takes the atoms whose
+    /// coefficient `k` divides and the constant's floor multiple of `k`.
+    fn split(self, k: i64) -> (Terms, Terms) {
+        let mut q = Terms::constant(self.constant.div_euclid(k));
+        let mut r = Terms::constant(self.constant.rem_euclid(k));
+        for (atom, c) in self.atoms {
+            if c % k == 0 {
+                q.atoms.push((atom, c / k));
+            } else {
+                r.atoms.push((atom, c));
+            }
+        }
+        (q, r)
+    }
+
+    /// The block `m` with `self ∈ [m·k, (m+1)·k)` everywhere on the box,
+    /// if interval analysis proves there is one.
+    fn block(&self, k: i64, bounds: &[(i64, i64)]) -> Option<i64> {
+        let (mut lo, mut hi) = (self.constant, self.constant);
+        for (atom, c) in &self.atoms {
+            let (al, ah) = atom.interval(bounds);
+            let (x, y) = (al.saturating_mul(*c), ah.saturating_mul(*c));
+            lo = lo.saturating_add(x.min(y));
+            hi = hi.saturating_add(x.max(y));
+        }
+        let m = lo.div_euclid(k);
+        let saturated = lo == i64::MIN || hi == i64::MAX;
+        (!saturated && m == hi.div_euclid(k)).then_some(m)
+    }
+
+    fn to_expr(&self) -> IndexExpr {
+        let n = self
+            .atoms
+            .iter()
+            .filter_map(|(a, _)| match a {
+                IndexExpr::Var(i) => Some(i + 1),
+                _ => None,
+            })
+            .max()
+            .unwrap_or(0);
+        let mut coeffs = vec![0i64; n];
+        let mut rest: Option<IndexExpr> = None;
+        for (atom, c) in &self.atoms {
+            match atom {
+                IndexExpr::Var(i) => coeffs[*i] += c,
+                _ => {
+                    let term = if *c == 1 {
+                        atom.clone()
+                    } else {
+                        IndexExpr::Mul(Box::new(atom.clone()), *c)
+                    };
+                    rest = Some(match rest {
+                        None => term,
+                        Some(e) => IndexExpr::Add(Box::new(e), Box::new(term)),
+                    });
+                }
+            }
+        }
+        let linear = IndexExpr::from_linear(&coeffs, self.constant);
+        match (rest, linear) {
+            (None, linear) => linear,
+            (Some(rest), IndexExpr::Const(0)) => rest,
+            (Some(rest), linear) => IndexExpr::Add(Box::new(linear), Box::new(rest)),
         }
     }
 }
@@ -563,6 +726,72 @@ mod tests {
         |(e, v0, v1, v2)| {
             let vars = [*v0, *v1, *v2];
             tk_assert_eq!(e.simplified().eval(&vars), e.eval(&vars), "expr {e}");
+            Ok(())
+        }
+    );
+
+    #[test]
+    fn simplified_within_resolves_flat_index_pairs() {
+        let (v0, v1, v2) = (IndexExpr::var(0), IndexExpr::var(1), IndexExpr::var(2));
+        // A reshape's linearize/delinearize pair over v0 < 64, v1 < 4, v2 < 16.
+        let flat = v0.clone().mul(64).add(v1.clone().mul(16)).add(v2.clone());
+        let bounds = [(0, 63), (0, 3), (0, 15)];
+        assert_eq!(flat.clone().floor_div(64).simplified_within(&bounds), v0);
+        assert_eq!(
+            flat.clone().modulo(64).simplified_within(&bounds),
+            v1.clone().mul(16).add(v2.clone())
+        );
+        // The attention output projection's read of the head-split context,
+        // `ctx[((64·v0 + v2)/16) % 4, (64·v0 + v2)/64, (64·v0 + v2) % 16]`
+        // with the reduction var v2 < 64: the row becomes affine, the other
+        // two axes become functions of v2 alone.
+        let flat = v0.clone().mul(64).add(v2.clone());
+        let bounds = [(0, 63), (0, 63), (0, 63)];
+        assert_eq!(
+            flat.clone()
+                .floor_div(16)
+                .modulo(4)
+                .simplified_within(&bounds),
+            v2.clone().floor_div(16)
+        );
+        assert_eq!(flat.clone().floor_div(64).simplified_within(&bounds), v0);
+        assert_eq!(flat.modulo(16).simplified_within(&bounds), v2.modulo(16));
+        // Without the box the same expressions stay quasi-affine.
+        assert!(!v1
+            .add(IndexExpr::constant(3))
+            .floor_div(4)
+            .simplified()
+            .is_affine());
+    }
+
+    /// Random box: per variable an inclusive `(lo, hi)` with at most four
+    /// points, possibly negative.
+    fn gen_box(rng: &mut Rng) -> Vec<(i64, i64)> {
+        (0..3)
+            .map(|_| {
+                let lo = rng.i64_in(-6..6);
+                (lo, lo + rng.i64_in(0..4))
+            })
+            .collect()
+    }
+
+    forall!(
+        simplified_within_agrees_on_every_point_of_the_box,
+        Config::with_cases(512),
+        |rng| (gen_expr(rng, 4), gen_box(rng)),
+        |(e, b)| {
+            if b.len() != 3 || b.iter().any(|(lo, hi)| lo > hi) {
+                return Ok(()); // shrunk-out-of-domain candidate
+            }
+            let s = e.simplified_within(b);
+            for x in b[0].0..=b[0].1 {
+                for y in b[1].0..=b[1].1 {
+                    for z in b[2].0..=b[2].1 {
+                        let vars = [x, y, z];
+                        tk_assert_eq!(s.eval(&vars), e.eval(&vars), "expr {e} -> {s} at {vars:?}");
+                    }
+                }
+            }
             Ok(())
         }
     );

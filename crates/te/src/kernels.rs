@@ -53,6 +53,8 @@
 
 use crate::compile::{AffineAccess, BodyKind, CompiledTe, Instr};
 use crate::te::ReduceOp;
+use crate::vm::{gathered_except, table_of};
+use souffle_tensor::Shape;
 
 /// Environment variable overriding the kernel-tier mode: `on`/`1`/`true`
 /// forces the specialized tier, `off`/`0`/`false` forces pure bytecode.
@@ -78,6 +80,13 @@ const FAST_LANES: usize = 8;
 /// strict, so 256-point TEs keep their kernels and only genuinely
 /// dispatch-dominated bodies fall back.
 pub(crate) const SMALL_TE_POINTS: i64 = 256;
+
+/// Whether a body over `out_shape` with reduction extents `reduce` has
+/// fewer than [`SMALL_TE_POINTS`] evaluations (output points × reduction
+/// points).
+pub(crate) fn is_small(out_shape: &Shape, reduce: &[i64]) -> bool {
+    out_shape.numel().max(1) * reduce.iter().product::<i64>().max(1) < SMALL_TE_POINTS
+}
 
 /// Per-evaluation execution switches, resolved once by the runtime and
 /// threaded into every `run_chunk` call.
@@ -169,6 +178,10 @@ pub(crate) enum KernelSel {
     SliceReduce { access: usize },
     /// No specialization: run the bytecode VM path.
     Fallback(FallbackReason),
+    /// The TE is split at its guard cuts; each piece carries its own
+    /// selection ([`crate::compile::Piece`]) and is what gets dispatched
+    /// and counted.
+    Piecewise,
 }
 
 impl KernelSel {
@@ -181,6 +194,7 @@ impl KernelSel {
             KernelSel::SliceDot { .. } => "slice_dot",
             KernelSel::SliceReduce { .. } => "slice_reduce",
             KernelSel::Fallback(_) => "bytecode",
+            KernelSel::Piecewise => "piecewise",
         }
     }
 }
@@ -189,8 +203,7 @@ impl KernelSel {
 /// time; the predicate only consults compile-time constants (body
 /// classification, stride tables, reduction extents), never data.
 pub(crate) fn select(te: &CompiledTe) -> KernelSel {
-    let points = te.out_shape.numel().max(1) * te.reduce.iter().product::<i64>().max(1);
-    if points < SMALL_TE_POINTS {
+    if is_small(&te.out_shape, &te.reduce) {
         return KernelSel::Fallback(FallbackReason::SmallTe);
     }
     if !te.folds.is_empty() {
@@ -227,27 +240,43 @@ fn select_map(te: &CompiledTe) -> KernelSel {
             _ => KernelSel::Fallback(FallbackReason::Strided),
         };
     }
-    // Element-wise tile: straight-line bytecode (first disqualifying
-    // instruction in code order decides the reported reason) over accesses
-    // that are row-uniform (stride 0) or row-contiguous (stride 1).
-    for instr in &te.code {
-        match instr {
-            Instr::LoadGeneric { .. } => return KernelSel::Fallback(FallbackReason::GenericAccess),
-            Instr::JumpIfNot { .. } | Instr::Jump { .. } => {
-                return KernelSel::Fallback(FallbackReason::ControlFlow)
-            }
-            Instr::Index { .. } => return KernelSel::Fallback(FallbackReason::IndexValue),
-            Instr::Fold { .. } => return KernelSel::Fallback(FallbackReason::ReducedBody),
-            Instr::Const { .. }
-            | Instr::LoadAffine { .. }
-            | Instr::Unary { .. }
-            | Instr::Binary { .. } => {}
-        }
+    // Element-wise tile: straight-line bytecode over accesses that are
+    // row-uniform (stride 0) or row-contiguous (stride 1).
+    if let Some(reason) = first_disqualifier(&te.code) {
+        return KernelSel::Fallback(reason);
     }
-    if te.affine.iter().any(|a| !matches!(a.coeffs[last], 0 | 1)) {
+    if te
+        .affine
+        .iter()
+        .any(|a| !matches!(a.coeffs[last], 0 | 1) || a.gathers_var(last))
+    {
         return KernelSel::Fallback(FallbackReason::Strided);
     }
     KernelSel::EwTile
+}
+
+/// The reason the first disqualifying instruction in code order gives for
+/// keeping a body on bytecode: a generic access, control flow, an index
+/// value or an inline fold. `None` for straight-line affine bytecode.
+fn first_disqualifier(code: &[Instr]) -> Option<FallbackReason> {
+    code.iter().find_map(|instr| match instr {
+        Instr::LoadGeneric { .. } => Some(FallbackReason::GenericAccess),
+        Instr::JumpIfNot { .. } | Instr::Jump { .. } => Some(FallbackReason::ControlFlow),
+        Instr::Index { .. } => Some(FallbackReason::IndexValue),
+        Instr::Fold { .. } => Some(FallbackReason::ReducedBody),
+        Instr::Const { .. }
+        | Instr::LoadAffine { .. }
+        | Instr::LoadGathered { .. }
+        | Instr::Unary { .. }
+        | Instr::Binary { .. } => None,
+    })
+}
+
+/// Fallback for a reduction whose body is general bytecode: the first
+/// disqualifying instruction's reason, or `reduced_body` for a composite
+/// straight-line body (e.g. `a·b + c`) no reduction kernel covers.
+fn generic_reduce_fallback(te: &CompiledTe) -> KernelSel {
+    KernelSel::Fallback(first_disqualifier(&te.code).unwrap_or(FallbackReason::ReducedBody))
 }
 
 /// Selection for single-axis reductions.
@@ -256,13 +285,22 @@ fn select_single_reduce(te: &CompiledTe) -> KernelSel {
     let kv = te.n_vars - 1; // the lone reduction variable
     match te.kind {
         BodyKind::MulAffine { a, b } => {
+            let (aa, ab) = (&te.affine[a], &te.affine[b]);
+            // Gathered factors are fine for row_dot, which addresses each
+            // factor once per row and `k`, as long as nothing is gathered
+            // along the row; slice_dot needs contiguous slices.
             if rank >= 1 {
                 let last = rank - 1;
-                if te.affine[a].coeffs[last] == 0 && te.affine[b].coeffs[last] == 1 {
+                if aa.coeffs[last] == 0
+                    && ab.coeffs[last] == 1
+                    && !aa.gathers_var(last)
+                    && !ab.gathers_var(last)
+                {
                     return KernelSel::RowDot { a, b };
                 }
             }
-            if te.affine[a].coeffs[kv] == 1 && te.affine[b].coeffs[kv] == 1 {
+            let slice = |x: &AffineAccess| x.coeffs[kv] == 1 && x.gathers.is_empty();
+            if slice(aa) && slice(ab) {
                 return KernelSel::SliceDot { a, b };
             }
             KernelSel::Fallback(FallbackReason::Strided)
@@ -274,7 +312,7 @@ fn select_single_reduce(te: &CompiledTe) -> KernelSel {
                 KernelSel::Fallback(FallbackReason::Strided)
             }
         }
-        BodyKind::Generic => KernelSel::Fallback(FallbackReason::ReducedBody),
+        BodyKind::Generic => generic_reduce_fallback(te),
     }
 }
 
@@ -288,7 +326,9 @@ fn select_single_reduce(te: &CompiledTe) -> KernelSel {
 fn select_two_axis_reduce(te: &CompiledTe, inner: i64) -> KernelSel {
     let kv_in = te.n_vars - 1;
     let kv_out = te.n_vars - 2;
-    let contiguous = |a: &AffineAccess| a.coeffs[kv_in] == 1 && a.coeffs[kv_out] == inner;
+    let contiguous = |a: &AffineAccess| {
+        a.coeffs[kv_in] == 1 && a.coeffs[kv_out] == inner && a.gathers.is_empty()
+    };
     match te.kind {
         BodyKind::AffineLoad { access } => {
             if contiguous(&te.affine[access]) {
@@ -304,7 +344,7 @@ fn select_two_axis_reduce(te: &CompiledTe, inner: i64) -> KernelSel {
                 KernelSel::Fallback(FallbackReason::MultiAxisReduce)
             }
         }
-        BodyKind::Generic => KernelSel::Fallback(FallbackReason::ReducedBody),
+        BodyKind::Generic => generic_reduce_fallback(te),
     }
 }
 
@@ -329,7 +369,19 @@ pub struct KernelStats {
 }
 
 impl KernelStats {
-    pub(crate) fn record(&mut self, sel: KernelSel) {
+    /// Counts one TE: one dispatch per piece when it is split.
+    pub(crate) fn record_te(&mut self, te: &CompiledTe) {
+        match &te.split {
+            Some(split) => {
+                for p in &split.pieces {
+                    self.record(p.te.tier);
+                }
+            }
+            None => self.record(te.tier),
+        }
+    }
+
+    fn record(&mut self, sel: KernelSel) {
         match sel {
             KernelSel::CopyRows { .. } => self.copy_rows += 1,
             KernelSel::EwTile => self.ew_tile += 1,
@@ -337,6 +389,8 @@ impl KernelStats {
             KernelSel::SliceDot { .. } => self.slice_dot += 1,
             KernelSel::SliceReduce { .. } => self.slice_reduce += 1,
             KernelSel::Fallback(r) => self.fallback[r.index()] += 1,
+            // A split TE is counted per piece (`record_te`).
+            KernelSel::Piecewise => {}
         }
     }
 
@@ -419,6 +473,7 @@ pub(crate) fn run(
             run_elems(te, start, out, operands, fast_math)
         }
         KernelSel::Fallback(_) => unreachable!("fallback TEs dispatch to the bytecode path"),
+        KernelSel::Piecewise => unreachable!("split TEs dispatch per piece"),
     }
 }
 
@@ -463,24 +518,35 @@ fn run_rows(te: &CompiledTe, start: usize, out: &mut [f32], operands: &[&[f32]])
         KernelSel::RowDot { .. } => vec![0.0f32; row as usize],
         _ => Vec::new(),
     };
+    // Gathered terms of iteration variables are constant along a segment
+    // (selection excludes the row axis): fold them into the segment's
+    // offsets. The reduction variable's are looked up per `k`.
+    let gathers = te.affine.iter().any(|a| !a.gathers.is_empty());
+    let mut seg_offsets = offsets.clone();
 
     let mut idx = 0usize;
     while idx < out.len() {
         let len = ((row - vars[last]) as usize).min(out.len() - idx);
         let seg = &mut out[idx..idx + len];
+        if gathers {
+            for ((s, &o), a) in seg_offsets.iter_mut().zip(&offsets).zip(&te.affine) {
+                *s = o + gathered_except(a, &vars, n_iter);
+            }
+        }
+        let offs = if gathers { &seg_offsets } else { &offsets };
         match te.tier {
             KernelSel::CopyRows { access, broadcast } => {
                 let data = operands[te.affine[access].operand];
-                let off = offsets[access] as usize;
+                let off = offs[access] as usize;
                 if broadcast {
                     seg.fill(data[off]);
                 } else {
                     seg.copy_from_slice(&data[off..off + len]);
                 }
             }
-            KernelSel::EwTile => ew_tile_segment(te, &offsets, operands, &mut regs, seg),
+            KernelSel::EwTile => ew_tile_segment(te, offs, operands, &mut regs, seg),
             KernelSel::RowDot { a, b } => {
-                row_dot_segment(te, a, b, &offsets, operands, &mut acc[..len], seg)
+                row_dot_segment(te, a, b, offs, operands, &mut acc[..len], seg)
             }
             _ => unreachable!("run_rows only handles row-based kernels"),
         }
@@ -537,7 +603,8 @@ fn ew_tile_segment(
         for instr in &te.code {
             match instr {
                 Instr::Const { dst, value } => regs[*dst as usize][..t].fill(*value),
-                Instr::LoadAffine { dst, access } => {
+                // `offsets` already holds the segment's gathered terms.
+                Instr::LoadAffine { dst, access } | Instr::LoadGathered { dst, access } => {
                     let ai = *access as usize;
                     let a: &AffineAccess = &te.affine[ai];
                     let data = operands[a.operand];
@@ -601,29 +668,27 @@ fn row_dot_segment(
     let len = seg.len();
     acc.fill(op.init());
     let (mut oa, mut ob) = (offsets[a], offsets[b]);
-    match op {
-        ReduceOp::Sum => {
-            for _ in 0..ext {
-                let x = da[oa as usize];
-                let brow = &db[ob as usize..ob as usize + len];
+    // A factor gathered along the reduction variable adds its table entry
+    // for `k`.
+    let (ta, tb) = (table_of(aa, kv), table_of(ab, kv));
+    for k in 0..ext as usize {
+        let x = da[(oa + ta.map_or(0, |t| t[k])) as usize];
+        let ob_k = (ob + tb.map_or(0, |t| t[k])) as usize;
+        let brow = &db[ob_k..ob_k + len];
+        match op {
+            ReduceOp::Sum => {
                 for (acc_j, &b_j) in acc.iter_mut().zip(brow) {
                     *acc_j += x * b_j;
                 }
-                oa += ca;
-                ob += cb;
             }
-        }
-        _ => {
-            for _ in 0..ext {
-                let x = da[oa as usize];
-                let brow = &db[ob as usize..ob as usize + len];
+            _ => {
                 for (acc_j, &b_j) in acc.iter_mut().zip(brow) {
                     *acc_j = op.combine(*acc_j, x * b_j);
                 }
-                oa += ca;
-                ob += cb;
             }
         }
+        oa += ca;
+        ob += cb;
     }
     seg.copy_from_slice(acc);
 }

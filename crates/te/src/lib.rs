@@ -55,6 +55,7 @@ mod expr;
 pub mod grad;
 pub mod interp;
 pub mod kernels;
+mod piecewise;
 pub mod pool;
 mod program;
 pub mod rewrite_log;
@@ -65,7 +66,7 @@ mod te;
 mod vm;
 
 pub use arena::{ArenaStats, BufferArena};
-pub use compile::{compile_program, CompiledProgram, CompiledTe, Evaluator};
+pub use compile::{compile_program, CompiledProgram, CompiledTe, Evaluator, Piece};
 pub use expr::{BinaryOp, CmpOp, Cond, ScalarExpr, UnaryOp};
 pub use kernels::{FallbackReason, KernelStats, KERNEL_TIER_ENV};
 pub use pool::{PoolStats, ThreadPool};

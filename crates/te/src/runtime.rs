@@ -645,7 +645,7 @@ impl Runtime {
             if exec.kernels {
                 let mut ks = self.kernel_stats.lock().expect("kernel stats poisoned");
                 for &ti in tes {
-                    ks.record(cp.tes[ti].tier);
+                    ks.record_te(&cp.tes[ti]);
                 }
             }
 

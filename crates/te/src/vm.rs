@@ -14,6 +14,9 @@
 //!   conv) skip instruction dispatch entirely and run as tight loops over
 //!   local offset accumulators — the same loads and float ops in the same
 //!   order, so no result bit changes.
+//! - **Piecewise dispatch.** A TE split at its guard cuts
+//!   ([`crate::piecewise`]) runs each piece, a guard-free TE of its own, on
+//!   the part of the chunk it covers, in ascending flat order.
 //! - **Wavefront threading.** Execution is handled by
 //!   [`crate::runtime`]: independent TEs (same dependency level) run
 //!   concurrently, and each TE's flat output range is split into
@@ -29,7 +32,7 @@
 //! reduction combine order — is byte-for-byte the interpreter's, which is
 //! what the `evaluator_equivalence` differential suite locks down.
 
-use crate::compile::{BodyKind, CompiledProgram, CompiledTe, Instr};
+use crate::compile::{AffineAccess, BodyKind, CompiledProgram, CompiledTe, Instr, Split};
 use crate::interp::EvalError;
 use crate::kernels::{self, ExecOpts, KernelSel};
 use crate::program::TensorId;
@@ -106,6 +109,9 @@ pub(crate) fn run_chunk(
     operands: &[&[f32]],
     exec: ExecOpts,
 ) -> Result<(), EvalError> {
+    if let Some(split) = &te.split {
+        return run_pieces(te, split, start, out, operands, exec);
+    }
     if exec.kernels && !matches!(te.tier, KernelSel::Fallback(_)) {
         kernels::run(te, start, out, operands, exec.fast_math);
         return Ok(());
@@ -134,10 +140,7 @@ pub(crate) fn run_chunk(
                 BodyKind::AffineLoad { access } => {
                     operands[te.affine[access].operand][offsets[access] as usize]
                 }
-                BodyKind::MulAffine { a, b } => {
-                    operands[te.affine[a].operand][offsets[a] as usize]
-                        * operands[te.affine[b].operand][offsets[b] as usize]
-                }
+                BodyKind::MulAffine { a, b } => mul_affine(te, a, b, &offsets, &vars, operands),
                 BodyKind::Generic => run_body(
                     te,
                     &mut regs,
@@ -161,6 +164,23 @@ pub(crate) fn run_chunk(
                     let (mut oa, mut ob) = (offsets[a], offsets[b]);
                     let (ca, cb) = (aa.coeffs[n_iter], ab.coeffs[n_iter]);
                     match op {
+                        // Gathered factors: the iteration variables' terms
+                        // are fixed for the element, the reduction
+                        // variable's (if any) is looked up per `k`.
+                        _ if !aa.gathers.is_empty() || !ab.gathers.is_empty() => {
+                            oa += gathered_except(aa, &vars, n_iter);
+                            ob += gathered_except(ab, &vars, n_iter);
+                            let (ta, tb) = (table_of(aa, n_iter), table_of(ab, n_iter));
+                            let mut acc = op.init();
+                            for k in 0..ext as usize {
+                                let x = da[(oa + ta.map_or(0, |t| t[k])) as usize]
+                                    * db[(ob + tb.map_or(0, |t| t[k])) as usize];
+                                acc = op.combine(acc, x);
+                                oa += ca;
+                                ob += cb;
+                            }
+                            acc
+                        }
                         crate::te::ReduceOp::Sum => {
                             let mut acc = op.init();
                             for _ in 0..ext {
@@ -203,8 +223,7 @@ pub(crate) fn run_chunk(
                                 operands[te.affine[access].operand][offsets[access] as usize]
                             }
                             BodyKind::MulAffine { a, b } => {
-                                operands[te.affine[a].operand][offsets[a] as usize]
-                                    * operands[te.affine[b].operand][offsets[b] as usize]
+                                mul_affine(te, a, b, &offsets, &vars, operands)
                             }
                             BodyKind::Generic => run_body(
                                 te,
@@ -266,6 +285,94 @@ pub(crate) fn run_chunk(
                 *off -= a.coeffs[axis] * (dims[axis] - 1);
             }
         }
+    }
+    Ok(())
+}
+
+/// The gathered part of an affine access's flat offset at `vars` (0 for a
+/// plain affine access).
+#[inline]
+pub(crate) fn gathered(a: &AffineAccess, vars: &[i64]) -> i64 {
+    a.gathers
+        .iter()
+        .map(|g| g.table[vars[g.var] as usize])
+        .sum()
+}
+
+/// [`gathered`] without the term of variable `skip`.
+#[inline]
+pub(crate) fn gathered_except(a: &AffineAccess, vars: &[i64], skip: usize) -> i64 {
+    a.gathers
+        .iter()
+        .filter(|g| g.var != skip)
+        .map(|g| g.table[vars[g.var] as usize])
+        .sum()
+}
+
+/// The gathered table of variable `var` in an access, if it has one.
+#[inline]
+pub(crate) fn table_of(a: &AffineAccess, var: usize) -> Option<&[i64]> {
+    a.gathers
+        .iter()
+        .find(|g| g.var == var)
+        .map(|g| g.table.as_slice())
+}
+
+/// `a · b` for a [`BodyKind::MulAffine`] body at the current point.
+#[inline]
+fn mul_affine(
+    te: &CompiledTe,
+    a: usize,
+    b: usize,
+    offsets: &[i64],
+    vars: &[i64],
+    operands: &[&[f32]],
+) -> f32 {
+    let (aa, ab) = (&te.affine[a], &te.affine[b]);
+    operands[aa.operand][(offsets[a] + gathered(aa, vars)) as usize]
+        * operands[ab.operand][(offsets[b] + gathered(ab, vars)) as usize]
+}
+
+/// Evaluates output elements `start .. start + out.len()` of a split TE by
+/// dispatching each piece on its flat runs. For every index of the axes
+/// before the split axis, a piece covers one contiguous block of the flat
+/// output; the chunk is intersected with those blocks in ascending flat
+/// order, so the first failing element (and its error) is the one the
+/// unsplit bytecode would report.
+fn run_pieces(
+    te: &CompiledTe,
+    split: &Split,
+    start: usize,
+    out: &mut [f32],
+    operands: &[&[f32]],
+    exec: ExecOpts,
+) -> Result<(), EvalError> {
+    let dims = te.out_shape.dims();
+    let inner = dims[split.axis + 1..].iter().product::<i64>() as usize;
+    let span = dims[split.axis] as usize * inner; // one outer index
+    let end = start + out.len();
+    if span == 0 {
+        return Ok(());
+    }
+    let mut outer = start / span;
+    while outer * span < end {
+        for p in &split.pieces {
+            let lo = outer * span + p.lo as usize * inner;
+            let hi = outer * span + p.hi as usize * inner;
+            let (s, e) = (lo.max(start), hi.min(end));
+            if s < e {
+                let block = (p.hi - p.lo) as usize * inner;
+                let piece_start = outer * block + (s - lo);
+                run_chunk(
+                    &p.te,
+                    piece_start,
+                    &mut out[s - start..e - start],
+                    operands,
+                    exec,
+                )?;
+            }
+        }
+        outer += 1;
     }
     Ok(())
 }
@@ -343,6 +450,12 @@ fn run_code(
             Instr::LoadAffine { dst, access } => {
                 let a = &te.affine[*access as usize];
                 regs[*dst as usize] = operands[a.operand][offsets[*access as usize] as usize];
+                pc += 1;
+            }
+            Instr::LoadGathered { dst, access } => {
+                let a = &te.affine[*access as usize];
+                regs[*dst as usize] =
+                    operands[a.operand][(offsets[*access as usize] + gathered(a, vars)) as usize];
                 pc += 1;
             }
             Instr::LoadGeneric { dst, access } => {

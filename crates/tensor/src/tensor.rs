@@ -2,12 +2,18 @@
 
 use crate::{DType, Shape};
 use std::fmt;
+use std::sync::Arc;
 
 /// A dense, row-major tensor of `f32` values tagged with a logical [`DType`].
 ///
 /// This is the data plane used by the reference TE interpreter and the
 /// numeric regression tests; the compiler itself operates symbolically and
 /// never touches element data.
+///
+/// Element data is reference-counted and copied on write: a clone shares
+/// the buffer until either side mutates it, so cloning a binding set (a
+/// serving request built from a template, the weights bound into every
+/// batch) copies no elements.
 ///
 /// ```
 /// use souffle_tensor::{Shape, Tensor};
@@ -18,7 +24,7 @@ use std::fmt;
 pub struct Tensor {
     shape: Shape,
     dtype: DType,
-    data: Vec<f32>,
+    data: Arc<Vec<f32>>,
 }
 
 impl Tensor {
@@ -28,7 +34,7 @@ impl Tensor {
         Tensor {
             shape,
             dtype: DType::F32,
-            data: vec![0.0; n],
+            data: Arc::new(vec![0.0; n]),
         }
     }
 
@@ -38,7 +44,7 @@ impl Tensor {
         Tensor {
             shape,
             dtype: DType::F32,
-            data: vec![value; n],
+            data: Arc::new(vec![value; n]),
         }
     }
 
@@ -51,7 +57,7 @@ impl Tensor {
         Tensor {
             shape,
             dtype: DType::F32,
-            data,
+            data: Arc::new(data),
         }
     }
 
@@ -71,7 +77,7 @@ impl Tensor {
         Tensor {
             shape,
             dtype: DType::F32,
-            data,
+            data: Arc::new(data),
         }
     }
 
@@ -104,12 +110,17 @@ impl Tensor {
             data.len(),
             shape
         );
-        Tensor { shape, dtype, data }
+        Tensor {
+            shape,
+            dtype,
+            data: Arc::new(data),
+        }
     }
 
-    /// Consumes the tensor, returning its row-major data buffer.
+    /// Consumes the tensor, returning its row-major data buffer (copied
+    /// only when a clone still shares it).
     pub fn into_data(self) -> Vec<f32> {
-        self.data
+        Arc::try_unwrap(self.data).unwrap_or_else(|shared| (*shared).clone())
     }
 
     /// Returns this tensor re-tagged with `dtype` (storage is unchanged).
@@ -133,9 +144,10 @@ impl Tensor {
         &self.data
     }
 
-    /// Mutable borrow of the underlying row-major data.
+    /// Mutable borrow of the underlying row-major data (copied first when
+    /// a clone shares it).
     pub fn data_mut(&mut self) -> &mut [f32] {
-        &mut self.data
+        Arc::make_mut(&mut self.data).as_mut_slice()
     }
 
     /// Element at a multi-dimensional index.
@@ -154,7 +166,7 @@ impl Tensor {
     /// Panics if the index is out of bounds.
     pub fn set(&mut self, index: &[i64], value: f32) {
         let flat = self.shape.linearize(index) as usize;
-        self.data[flat] = value;
+        self.data_mut()[flat] = value;
     }
 
     /// Size of the tensor in bytes under its logical dtype.
@@ -168,7 +180,7 @@ impl Tensor {
         if self.shape != other.shape {
             return false;
         }
-        self.data.iter().zip(&other.data).all(|(&a, &b)| {
+        self.data.iter().zip(other.data.iter()).all(|(&a, &b)| {
             let tol = atol + rtol * b.abs().max(a.abs());
             (a - b).abs() <= tol || (a.is_nan() && b.is_nan())
         })
@@ -182,7 +194,7 @@ impl Tensor {
         Some(
             self.data
                 .iter()
-                .zip(&other.data)
+                .zip(other.data.iter())
                 .map(|(&a, &b)| (a - b).abs())
                 .fold(0.0f32, f32::max),
         )
@@ -193,7 +205,7 @@ impl Tensor {
         Tensor {
             shape: self.shape.clone(),
             dtype: self.dtype,
-            data: self.data.iter().map(|&x| f(x)).collect(),
+            data: Arc::new(self.data.iter().map(|&x| f(x)).collect()),
         }
     }
 }
@@ -264,6 +276,23 @@ mod tests {
         assert_eq!(t.dtype(), DType::F16);
         assert_eq!(t.at(&[1, 0]), 3.0);
         assert_eq!(t.into_data(), vec![1.0, 2.0, 3.0, 4.0]);
+    }
+
+    #[test]
+    fn clones_share_data_until_written() {
+        let a = Tensor::from_vec(Shape::new(vec![3]), vec![1.0, 2.0, 3.0]);
+        let mut b = a.clone();
+        assert_eq!(
+            a.data().as_ptr(),
+            b.data().as_ptr(),
+            "a clone copies nothing"
+        );
+        b.set(&[0], 9.0);
+        assert_ne!(a.data().as_ptr(), b.data().as_ptr());
+        assert_eq!((a.at(&[0]), b.at(&[0])), (1.0, 9.0));
+        let c = a.clone();
+        assert_eq!(c.into_data(), vec![1.0, 2.0, 3.0]);
+        assert_eq!(a.data(), &[1.0, 2.0, 3.0]);
     }
 
     #[test]

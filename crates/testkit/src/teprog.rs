@@ -10,8 +10,9 @@
 //! The vocabulary deliberately exercises every dependence class the
 //! paper's transforms care about: element-wise chains, broadcasts
 //! (`Scale`/`AddPrev`), quasi-affine memory operators (strided `Slice`,
-//! `Reshape`'s div/mod linearization, `Transpose` permutation), and
-//! reductions (`Matmul`, `ReduceSum`, `Softmax`).
+//! `Reshape`'s div/mod linearization, `Transpose` permutation),
+//! reductions (`Matmul`, `ReduceSum`, `Softmax`), and independent sibling
+//! matmuls (`Fork`) — the shape horizontal transformation concatenates.
 
 use crate::rng::Rng;
 use crate::shrink::Shrink;
@@ -39,11 +40,15 @@ pub enum OpKind {
     ReduceSum,
     /// Numerically-stabilized softmax over the last axis.
     Softmax,
+    /// `2 + k % 2` independent matmuls of the current tensor against fresh
+    /// weights, summed: siblings horizontal transformation concatenates
+    /// behind a guard chain (like attention's q/k/v projections).
+    Fork(u8),
 }
 
 impl OpKind {
     /// The full vocabulary, used by the generator.
-    pub const ALL: [OpKind; 9] = [
+    pub const ALL: [OpKind; 10] = [
         OpKind::Unary(0),
         OpKind::AddPrev,
         OpKind::Scale(1),
@@ -53,6 +58,7 @@ impl OpKind {
         OpKind::Matmul,
         OpKind::ReduceSum,
         OpKind::Softmax,
+        OpKind::Fork(1),
     ];
 }
 
@@ -109,9 +115,14 @@ impl Shrink for ProgSpec {
     }
 }
 
+/// Output columns of each `Fork` branch: wide enough that a three-way
+/// fused group over the larger base shapes clears the kernel tier's
+/// small-TE cutoff, so its guard chain is split into pieces.
+const FORK_WIDTH: i64 = 8;
+
 /// Draws one operator.
 pub fn gen_op(rng: &mut Rng) -> OpKind {
-    match rng.below(9) {
+    match rng.below(10) {
         0 => OpKind::Unary(rng.u8_in(0..4)),
         1 => OpKind::AddPrev,
         2 => OpKind::Scale(rng.i8_in(-3..4)),
@@ -120,7 +131,8 @@ pub fn gen_op(rng: &mut Rng) -> OpKind {
         5 => OpKind::Reshape,
         6 => OpKind::Matmul,
         7 => OpKind::ReduceSum,
-        _ => OpKind::Softmax,
+        8 => OpKind::Softmax,
+        _ => OpKind::Fork(rng.u8_in(0..2)),
     }
 }
 
@@ -192,6 +204,25 @@ impl ProgSpec {
                     builders::reshape(&mut p, &format!("{name}.r2"), r, Shape::new(vec![d, 1]))
                 }
                 OpKind::Softmax => builders::softmax(&mut p, &name, cur),
+                OpKind::Fork(k) => {
+                    let inner = shape.dim(1);
+                    let branches: Vec<TensorId> = (0..2 + k % 2)
+                        .map(|b| {
+                            let w = p.add_weight(
+                                &format!("w{i}.{b}"),
+                                Shape::new(vec![inner, FORK_WIDTH]),
+                                DType::F32,
+                            );
+                            builders::matmul(&mut p, &format!("{name}.{b}"), cur, w)
+                        })
+                        .collect();
+                    branches[1..]
+                        .iter()
+                        .enumerate()
+                        .fold(branches[0], |acc, (b, &t)| {
+                            builders::add(&mut p, &format!("{name}.sum{b}"), acc, t)
+                        })
+                }
             };
             history.push(cur);
         }
@@ -232,16 +263,18 @@ mod tests {
         let mut rng = Rng::new(1);
         let mut seen_reduce = false;
         let mut seen_quasi = false;
+        let mut seen_fork = false;
         for _ in 0..100 {
             let spec = gen_spec(&mut rng, 12);
             for op in &spec.ops {
                 match op {
                     OpKind::Matmul | OpKind::ReduceSum | OpKind::Softmax => seen_reduce = true,
                     OpKind::Slice | OpKind::Reshape => seen_quasi = true,
+                    OpKind::Fork(_) => seen_fork = true,
                     _ => {}
                 }
             }
         }
-        assert!(seen_reduce && seen_quasi);
+        assert!(seen_reduce && seen_quasi && seen_fork);
     }
 }

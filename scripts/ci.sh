@@ -39,6 +39,15 @@ cargo test -q --offline --workspace
 echo "== perfbench build + unit tests =="
 cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
+# Benchmark smoke: every workload briefly, untraced and traced. It fails
+# unless every `infer-full` output (the six tiny models and BERT at bench
+# scale, under full()) and every `serve-overload` response (executed at
+# serve's batched, padded shapes) is bit-identical to the interpreter on
+# the untransformed program, and every registered metric is emitted with
+# its unit. No timing is asserted.
+echo "== perfbench --smoke =="
+cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- --smoke
+
 # Observability gate: golden span-tree structure for BERT/LSTM (refresh
 # with TESTKIT_BLESS=1 on intentional pipeline changes), trace property
 # suite, and an end-to-end `souffle-cli --trace-out` run whose Chrome

@@ -134,6 +134,25 @@ fn six_models_are_bit_identical_across_tier_modes() {
     }
 }
 
+/// The six models at test scale after the full transform pipeline, where
+/// horizontal fusion's guard chains run as pieces (Swin's window
+/// partitions gathered per variable inside re-based pieces) and composed
+/// reshapes read through gathered tables: bit-exact against the
+/// interpreter on the same transformed program at pool sizes 1/2/8 with
+/// the tier on and off.
+#[test]
+fn six_transformed_models_are_bit_identical_across_tier_modes() {
+    let mut opts = souffle::SouffleOptions::full();
+    opts.verify = false; // the differential is the check here
+    for model in Model::ALL {
+        let program = build_model(model, ModelConfig::Tiny);
+        let fused = souffle::Souffle::new(opts.clone())
+            .compile(&program)
+            .program;
+        assert_pieces_match_interpreter(&fused, 42);
+    }
+}
+
 forall!(
     generated_programs_are_bit_identical_across_tier_modes,
     Config::with_cases(100),
@@ -143,6 +162,21 @@ forall!(
             return Ok(()); // shrunk-out-of-domain candidate
         }
         assert_tier_matches_interpreter(&spec.build(), *seed)
+    }
+);
+
+forall!(
+    generated_fused_programs_are_bit_identical_across_tier_modes,
+    Config::with_cases(100),
+    |rng| (gen_spec(rng, 10), rng.u64_in(0..1_000_000)),
+    |(spec, seed)| {
+        if spec.ops.is_empty() {
+            return Ok(()); // shrunk-out-of-domain candidate
+        }
+        // Horizontally fused (the generator's `Fork` siblings become guard
+        // chains), so split TEs run through every tier mode and pool size.
+        let fused = souffle_transform::horizontal_fuse_program(&spec.build()).0;
+        assert_tier_matches_interpreter(&fused, *seed)
     }
 );
 
@@ -326,5 +360,252 @@ fn fast_math_is_close_but_relaxed() {
     assert!(
         any_diff,
         "a 211-term relaxed sum should differ from the strict order in at least one bit"
+    );
+}
+
+/// Pool sizes 1, 2 and 8 with the tier forced on and off: the runtimes the
+/// piecewise cases sweep (split TEs dispatch each piece on its flat runs,
+/// so chunk edges inside and across pieces are on the line).
+fn piece_runtimes() -> &'static [(&'static str, Runtime)] {
+    static CELL: OnceLock<Vec<(&'static str, Runtime)>> = OnceLock::new();
+    CELL.get_or_init(|| {
+        let rt = |threads: usize, kernel_tier: bool| {
+            Runtime::with_options(RuntimeOptions {
+                threads: Some(threads),
+                arena: true,
+                max_parallelism: Some(threads),
+                kernel_tier: Some(kernel_tier),
+                ..RuntimeOptions::default()
+            })
+        };
+        vec![
+            ("pool 1, kernels on", rt(1, true)),
+            ("pool 1, kernels off", rt(1, false)),
+            ("pool 2, kernels on", rt(2, true)),
+            ("pool 2, kernels off", rt(2, false)),
+            ("pool 8, kernels on", rt(8, true)),
+            ("pool 8, kernels off", rt(8, false)),
+        ]
+    })
+}
+
+/// Like [`assert_tier_matches_interpreter`], over [`piece_runtimes`].
+fn assert_pieces_match_interpreter(program: &TeProgram, seed: u64) {
+    let bindings = random_bindings(program, seed);
+    let want = eval_program(program, &bindings).expect("interpreter");
+    let cp = compile_program(program);
+    let plan = ExecPlan::from_compiled(&cp).keeping_intermediates();
+    for (label, rt) in piece_runtimes() {
+        let got = rt
+            .eval_with_plan(&cp, &plan, &bindings)
+            .unwrap_or_else(|e| panic!("[{label}] failed: {e:?}"));
+        compare_maps(label, program, &want, &got, seed).unwrap();
+    }
+}
+
+/// Attention-style q/k/v: three sibling matmuls of one `rows × k` input,
+/// summed, then horizontally fused into one guard-chain TE.
+fn fused_qkv(rows: i64, k: i64, cols: i64) -> TeProgram {
+    let mut p = TeProgram::new();
+    let x = p.add_input("x", Shape::new(vec![rows, k]), DType::F32);
+    let heads: Vec<TensorId> = ["q", "k", "v"]
+        .iter()
+        .map(|n| {
+            let w = p.add_weight(&format!("W{n}"), Shape::new(vec![k, cols]), DType::F32);
+            builders::matmul(&mut p, n, x, w)
+        })
+        .collect();
+    let qk = builders::add(&mut p, "qk", heads[0], heads[1]);
+    let out = builders::add(&mut p, "qkv", qk, heads[2]);
+    p.mark_output(out);
+    p.validate().unwrap();
+    souffle_transform::horizontal_fuse_program(&p).0
+}
+
+/// The fused TE of [`fused_qkv`] and its compiled form.
+fn hfuse_te(program: &TeProgram) -> souffle_te::CompiledTe {
+    let cp = compile_program(program);
+    let (i, _) = program
+        .tes()
+        .iter()
+        .enumerate()
+        .find(|(_, te)| te.name.starts_with("hfuse("))
+        .expect("horizontal fusion fired");
+    cp.tes()[i].clone()
+}
+
+/// The q/k/v guard chain on axis 0 splits at its cuts, every piece takes
+/// `row_dot`, and results stay bit-exact. Rows 37 and width 29 put both
+/// cuts (1073 and 2146 elements) and every row edge off any chunk length
+/// the runtime picks (≥ 128 elements at this reduction length), so chunks
+/// straddle cuts and start mid-row inside pieces.
+#[test]
+fn hfuse_guard_chain_on_axis_0_is_piecewise_and_bit_exact() {
+    let program = fused_qkv(37, 64, 29);
+    let te = hfuse_te(&program);
+    assert_eq!(te.split_axis(), Some(0));
+    let ranges: Vec<_> = te.pieces().iter().map(|p| p.range()).collect();
+    assert_eq!(ranges, vec![0..37, 37..74, 74..111]);
+    for piece in te.pieces() {
+        assert_eq!(piece.te().kernel(), "row_dot", "{:?}", piece.range());
+    }
+    for seed in [3, 71] {
+        assert_pieces_match_interpreter(&program, seed);
+    }
+}
+
+/// After `batch_program` the concat guard sits on `v1` behind the batch
+/// axis: each batch index runs each piece on one contiguous block.
+#[test]
+fn hfuse_guard_chain_on_axis_1_after_batching_is_piecewise_and_bit_exact() {
+    let program = souffle_transform::batch_program(&fused_qkv(7, 24, 13), 3);
+    program.validate().unwrap();
+    let te = hfuse_te(&program);
+    assert_eq!(te.split_axis(), Some(1));
+    assert_eq!(te.pieces().len(), 3);
+    for piece in te.pieces() {
+        assert_eq!(piece.te().kernel(), "row_dot", "{:?}", piece.range());
+    }
+    for seed in [5, 1234] {
+        assert_pieces_match_interpreter(&program, seed);
+    }
+}
+
+/// The attention output projection reads the head-split context through
+/// a permute and a reshape; vertical fusion composes them into div/mod
+/// indices over the reduction variable. Within the box the row becomes
+/// affine and the rest a gathered table over `k`, so the matmul takes
+/// `row_dot` with no generic access, bit-exactly.
+#[test]
+fn reshape_permute_matmul_gathers_reduction_operand() {
+    let (heads, seq, dh, out) = (4, 19, 16, 24);
+    let mut p = TeProgram::new();
+    let ctx = p.add_input("ctx", Shape::new(vec![heads, seq, dh]), DType::F32);
+    let w = p.add_weight("W", Shape::new(vec![heads * dh, out]), DType::F32);
+    let t = builders::transpose(&mut p, "permute", ctx, &[1, 0, 2]);
+    let r = builders::reshape(&mut p, "merge", t, Shape::new(vec![seq, heads * dh]));
+    let y = builders::matmul(&mut p, "proj", r, w);
+    p.mark_output(y);
+    p.validate().unwrap();
+    let fused = souffle_transform::vertical_fuse_program(&p).0;
+    let cp = compile_program(&fused);
+    let proj = fused
+        .tes()
+        .iter()
+        .position(|te| te.name == "proj")
+        .expect("proj survives vertical fusion");
+    let te = &cp.tes()[proj];
+    assert_eq!(te.kernel(), "row_dot");
+    assert_eq!(te.num_generic_accesses(), 0);
+    for seed in [9, 4242] {
+        assert_pieces_match_interpreter(&fused, seed);
+    }
+}
+
+/// A padding guard on the reduction variable is not a piece cut: the
+/// untaken branch reads out of bounds, so the guard stays lazy bytecode
+/// and reports `control_flow`.
+#[test]
+fn guard_on_reduction_var_still_falls_back() {
+    let mut p = TeProgram::new();
+    let a = p.add_input("A", Shape::new(vec![32, 5]), DType::F32);
+    let w = p.add_weight("W", Shape::new(vec![8, 16]), DType::F32);
+    let k = souffle_affine::IndexExpr::var(2);
+    let padded = souffle_te::ScalarExpr::select(
+        souffle_te::Cond::cmp(
+            souffle_te::CmpOp::Lt,
+            k.clone(),
+            souffle_affine::IndexExpr::constant(5),
+        ),
+        souffle_te::ScalarExpr::input(0, vec![souffle_affine::IndexExpr::var(0), k.clone()]),
+        souffle_te::ScalarExpr::Const(0.0),
+    );
+    let body = souffle_te::ScalarExpr::binary(
+        souffle_te::BinaryOp::Mul,
+        padded,
+        souffle_te::ScalarExpr::input(1, vec![k, souffle_affine::IndexExpr::var(1)]),
+    );
+    let t = p.add_te(
+        "padded_mm",
+        Shape::new(vec![32, 16]),
+        DType::F32,
+        vec![a, w],
+        vec![8],
+        Some(souffle_te::ReduceOp::Sum),
+        body,
+    );
+    p.mark_output(t);
+    p.validate().unwrap();
+    let cp = compile_program(&p);
+    let te = &cp.tes()[0];
+    assert!(te.pieces().is_empty());
+    assert_eq!(te.kernel_fallback_reason(), Some("control_flow"));
+    for seed in [2, 77] {
+        assert_pieces_match_interpreter(&p, seed);
+    }
+}
+
+/// Paper-scale census pins for the transformed BERT: every layer's fused
+/// q/k/v guard chain is split into `row_dot` pieces, and every `proj`
+/// reads its head-split context as a gathered operand on `row_dot` — no
+/// bytecode piece among them.
+#[test]
+fn transformed_bert_qkv_and_proj_take_row_dot() {
+    let mut opts = souffle::SouffleOptions::full();
+    opts.verify = false; // selection census only
+    let program = build_model(Model::Bert, ModelConfig::Paper);
+    let fused = souffle::Souffle::new(opts).compile(&program).program;
+    let cp = compile_program(&fused);
+    let (mut qkv, mut proj) = (0, 0);
+    for (te, cte) in fused.tes().iter().zip(cp.tes()) {
+        let is_qkv = te.name.starts_with("hfuse(") && te.name.contains(".q+");
+        if is_qkv {
+            qkv += 1;
+            assert!(!cte.pieces().is_empty(), "{} is not split", te.name);
+        }
+        if is_qkv || te.name.ends_with(".proj") {
+            proj += usize::from(!is_qkv);
+            for unit in cte.dispatch_units() {
+                assert_eq!(unit.kernel(), "row_dot", "{}", te.name);
+            }
+        }
+    }
+    assert!(
+        qkv > 0 && proj > 0,
+        "q/k/v groups {qkv}, projections {proj}"
+    );
+}
+
+/// Swin's attention output projection reads its windows back through a
+/// window-reverse map: div/mod terms of the row variable and of the
+/// reduction variable, each of one variable, gathered per variable, so
+/// the projection also takes `row_dot`. The window partition feeding
+/// q/k/v is gathered the same way inside every piece of its guard chain.
+#[test]
+fn transformed_swin_window_reverse_proj_takes_row_dot() {
+    let mut opts = souffle::SouffleOptions::full();
+    opts.verify = false; // selection census only
+    let program = build_model(Model::SwinTransformer, ModelConfig::Paper);
+    let fused = souffle::Souffle::new(opts).compile(&program).program;
+    let cp = compile_program(&fused);
+    let (mut proj, mut win) = (0, 0);
+    for (te, cte) in fused.tes().iter().zip(cp.tes()) {
+        if te.name.ends_with(".proj") {
+            proj += 1;
+            assert_eq!(cte.kernel(), "row_dot", "{}", te.name);
+            assert_eq!(cte.num_generic_accesses(), 0, "{}", te.name);
+        }
+        // The fused q/k/v window partitions: split at the concat cuts, and
+        // every piece — re-based pieces included — reads its window through
+        // per-variable tables instead of generic div/mod accesses.
+        if te.name.starts_with("hfuse(") && te.name.ends_with(".v.win)") {
+            win += 1;
+            assert!(cte.pieces().len() > 1, "{} is not split", te.name);
+            assert_eq!(cte.num_generic_accesses(), 0, "{}", te.name);
+        }
+    }
+    assert!(
+        proj > 0 && win > 0,
+        "projections {proj}, window partitions {win}"
     );
 }

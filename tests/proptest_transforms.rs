@@ -9,7 +9,7 @@
 use souffle_testkit::oracle::{check_stage, Stage, Tolerance};
 use souffle_testkit::teprog::{gen_spec, ProgSpec};
 use souffle_testkit::{forall, tk_assert, tk_assert_eq, Config, Rng};
-use souffle_transform::{transform_program, vertical_fuse_program};
+use souffle_transform::{horizontal_fuse_program, transform_program, vertical_fuse_program};
 
 fn gen_case(rng: &mut Rng, max_ops: usize) -> (ProgSpec, u64) {
     (gen_spec(rng, max_ops), rng.u64_in(0..1000))
@@ -45,6 +45,26 @@ forall!(
         Ok(())
     }
 );
+
+/// The generator's `Fork` op hands horizontal transformation sibling
+/// matmuls to concatenate, so the properties over generated programs
+/// exercise its guard chains: a good share of drawn specs must fuse.
+#[test]
+fn generated_programs_exercise_horizontal_fusion() {
+    let mut rng = Rng::new(0x5eed);
+    let fused = (0..100)
+        .filter(|_| {
+            horizontal_fuse_program(&gen_spec(&mut rng, 10).build())
+                .1
+                .horizontal_groups
+                > 0
+        })
+        .count();
+    assert!(
+        fused >= 20,
+        "only {fused} of 100 generated programs fused horizontally"
+    );
+}
 
 forall!(
     horizontal_is_semantics_preserving_alone,

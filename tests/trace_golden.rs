@@ -14,6 +14,7 @@
 
 use souffle::trace::{chrome, summary::TraceSummary, Tracer};
 use souffle::{Souffle, SouffleOptions};
+use souffle_frontend::models::bert::{self, BertConfig};
 use souffle_frontend::{build_model, Model, ModelConfig};
 use souffle_te::interp::random_bindings;
 use souffle_testkit::golden::assert_golden;
@@ -30,7 +31,10 @@ fn golden_path(name: &str) -> PathBuf {
 /// work-stealing counters of a real pool are timing-dependent and must
 /// not leak into golden structure), arena on.
 fn traced_run(model: Model) -> souffle::trace::Trace {
-    let program = build_model(model, ModelConfig::Tiny);
+    traced_run_of(&build_model(model, ModelConfig::Tiny))
+}
+
+fn traced_run_of(program: &souffle_te::TeProgram) -> souffle::trace::Trace {
     let mut options = SouffleOptions::full();
     options.verify = true;
     options.eval_threads = Some(1);
@@ -41,8 +45,8 @@ fn traced_run(model: Model) -> souffle::trace::Trace {
     options.kernel_tier = Some(true);
     let tracer = Tracer::new();
     let souffle = Souffle::new(options).with_tracer(tracer.clone());
-    let compiled = souffle.compile(&program);
-    let bindings = random_bindings(&program, 42);
+    let compiled = souffle.compile(program);
+    let bindings = random_bindings(program, 42);
     souffle.eval_outputs(&compiled, &bindings).expect("eval");
     let trace = tracer.take();
     trace.well_formed().expect("well-formed trace");
@@ -68,20 +72,28 @@ fn structure_is_stable_across_runs() {
     assert_eq!(a, b, "trace structure must not depend on timing");
 }
 
-/// Pins the kernel-tier counter vocabulary: at test scale most of BERT's
-/// TEs sit below the small-TE cutoff (specializing them loses to
-/// dispatch overhead — the MMoE regression), so the golden run must show
-/// the cutoff holding them on bytecode via `fallback.small_te`, the big
-/// FFN matmuls still reaching `row_dot`, and the reduction-fused softmax
-/// bodies (which carry inline folds) declining specialization via
-/// `fallback.reduced_body`. Paper-scale census pins — where `slice_dot`,
-/// `slice_reduce`, and `ew_tile` fire — live in
+/// Pins the kernel-tier counter vocabulary on a one-layer BERT with twice
+/// the test-scale sequence and half its width: its narrow TEs sit below
+/// the small-TE cutoff (specializing them loses to dispatch
+/// overhead — the MMoE regression) and must stay on bytecode via
+/// `fallback.small_te`, the matmuls must reach `row_dot`, and the
+/// reduction-fused softmax bodies — `[2, 16, 16]`, above the cutoff —
+/// carry inline folds and must decline specialization via
+/// `fallback.reduced_body`. (At test scale every fold-carrying TE is
+/// below the cutoff and reports `small_te`.) Paper-scale census pins —
+/// where `slice_dot`, `slice_reduce`, and `ew_tile` fire — live in
 /// `kernel_tier_differential`. Every `kernels.*` counter a trace emits
 /// must come from [`souffle_te::KernelStats`]'s stable name set — no
 /// ad-hoc counter names on the spine.
 #[test]
 fn kernel_tier_counters_are_pinned_in_traces() {
-    let trace = traced_run(Model::Bert);
+    let trace = traced_run_of(&bert::build(&BertConfig {
+        layers: 1,
+        hidden: 8,
+        heads: 2,
+        seq: 16,
+        ffn: 16,
+    }));
     for required in [
         "kernels.row_dot",
         "kernels.bytecode",
